@@ -19,7 +19,7 @@ helpers.  Every primitive call is one BSP superstep recorded in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -31,21 +31,22 @@ from repro.core.analysis import (
     validate_analysis,
     validate_spec,
 )
+from repro.core import interp as _interp_loops
 from repro.core.dsu import DSU
 from repro.core.primitives import fn_label
 from repro.core.edgeset import BaseEdges, EdgeSet
 from repro.core.subset import VertexSubset
-from repro.core.vertex import RESERVED_ATTRIBUTES, VertexView, WorkingView
+from repro.core.vertex import RESERVED_ATTRIBUTES, VertexView
 from repro.errors import FlashUsageError
 from repro.graph.graph import Graph
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.costmodel import CostBreakdown, CostModel
 from repro.runtime.flashware import Flashware, FlashwareOptions
 from repro.runtime.metrics import Metrics
-from repro.runtime.oocore import kernels as _ooc
 from repro.runtime.tracing import Tracer
-from repro.runtime.vectorized import kernels as _vec
+from repro.runtime.vectorized.arcs import ResidentArcs
 from repro.runtime.vectorized.dispatch import default_backend, validate_backend
+from repro.runtime.vectorized.kernels import ColumnarKernels
 from repro.runtime.vectorized.specs import EdgeMapSpec, VertexMapSpec
 
 VertexFn = Callable[..., Any]
@@ -143,11 +144,6 @@ class FlashEngine:
         if backend is None:
             backend = default_backend()
         self.backend = validate_backend(backend)
-        self._vectorize = backend in ("vectorized", "auto")
-        self._oocore = backend == "oocore"
-        # Columnar backends share typed state and spec-driven dispatch;
-        # they differ only in where the arcs live (RAM vs block shards).
-        self._columnar = self._vectorize or self._oocore
         if executor == "mp":
             from repro.runtime.distributed.executor import DistributedFlashware
 
@@ -163,9 +159,13 @@ class FlashEngine:
                 num_workers,
                 options=options,
                 partition_strategy=partition_strategy,
-                typed_state=self._columnar,
+                typed_state=backend != "interp",
             )
         self._dist = getattr(self.flashware, "session", None)
+        #: The non-columnar runner — the mp session when there is one,
+        #: else the inline interpreted loops; both run the user
+        #: functions and return ``(out, updates[, contributors])``.
+        self._interp = self._dist if self._dist is not None else _interp_loops
         # An explicit tracer overrides the ambient one the Flashware
         # picked up (see repro.runtime.tracing.use_tracer).
         if tracer is not None:
@@ -219,17 +219,23 @@ class FlashEngine:
         self._owner = self.flashware.partition.owner_of
         self._out_degree_cache: Optional[np.ndarray] = None
         self._closed = False
-        #: Out-of-core runtime (block store + scheduler + context); only
-        #: built for ``backend="oocore"``, released by :meth:`close`.
-        self._ooc = None
-        if self._oocore:
+        #: The columnar runner, ``None`` on ``interp``: one kernel set
+        #: over the backend's arc source (RAM CSR vs block shards — built
+        #: here for ``oocore``, released by :meth:`close`).
+        self._col: Optional[ColumnarKernels] = None
+        if backend == "vectorized":
+            self._col = ColumnarKernels(backend, ResidentArcs(graph))
+        elif backend == "oocore":
             from repro.runtime.oocore.runtime import OocoreRuntime
 
-            self._ooc = OocoreRuntime(
-                self,
-                budget=oocore_budget,
-                interval=oocore_interval,
-                directory=oocore_dir,
+            self._col = ColumnarKernels(
+                backend,
+                OocoreRuntime(
+                    self,
+                    budget=oocore_budget,
+                    interval=oocore_interval,
+                    directory=oocore_dir,
+                ),
             )
 
     # ------------------------------------------------------------------
@@ -323,38 +329,29 @@ class FlashEngine:
     # ------------------------------------------------------------------
     # Static kernel compiler (analysis="compile")
     # ------------------------------------------------------------------
-    def _compile_vertex_spec(self, spec, F, M):
-        """Under ``analysis="compile"`` on a vectorizing backend, fill a
+    def _compile_spec(self, kind, spec, edges, F, M, C, R):
+        """Under ``analysis="compile"`` on a columnar backend, fill a
         missing spec (or, under ``_synth_force``, replace the hand one)
         with a synthesized spec.  Returns ``(spec, origin)`` where origin
-        is ``"hand"``, ``"synthesized"`` or ``None`` (interp)."""
-        if self.analysis != "compile" or not self._columnar:
-            return spec, ("hand" if spec is not None else None)
+        is ``"hand"``, ``"synthesized"`` or ``None`` (interp).  Edge
+        synthesis only applies to the plain edge set ``E`` — constructed
+        edge sets never dispatch columnar anyway."""
+        hand = "hand" if spec is not None else None
+        if self.analysis != "compile" or self._col is None:
+            return spec, hand
         if spec is not None and not self._synth_force:
-            return spec, "hand"
-        from repro.analysis.compile.synthesize import synthesize_vertex_spec
+            return spec, hand
+        from repro.analysis.compile import synthesize
 
-        synth = synthesize_vertex_spec(F, M)
+        if edges is None:
+            synth = synthesize.synthesize_vertex_spec(F, M)
+        elif type(edges) is BaseEdges:
+            synth = synthesize.synthesize_edge_spec(kind, F, M, C, R)
+        else:
+            synth = None
         if synth is not None:
             return synth, "synthesized"
-        return spec, ("hand" if spec is not None else None)
-
-    def _compile_edge_spec(self, kind, spec, edges, F, M, C, R):
-        """Edge-kernel counterpart of :meth:`_compile_vertex_spec`.
-        Synthesis only applies to the plain edge set ``E`` — constructed
-        edge sets never dispatch vectorized anyway."""
-        if self.analysis != "compile" or not self._columnar:
-            return spec, ("hand" if spec is not None else None)
-        if spec is not None and not self._synth_force:
-            return spec, "hand"
-        if type(edges) is not BaseEdges:
-            return spec, ("hand" if spec is not None else None)
-        from repro.analysis.compile.synthesize import synthesize_edge_spec
-
-        synth = synthesize_edge_spec(kind, F, M, C, R)
-        if synth is not None:
-            return synth, "synthesized"
-        return spec, ("hand" if spec is not None else None)
+        return spec, hand
 
     def _note_plan(self, kind, label, origin, spec, dispatched) -> None:
         """Record one kernel's dispatch decision for the plan artifact
@@ -394,6 +391,71 @@ class FlashEngine:
         return subset.size()
 
     # ------------------------------------------------------------------
+    # The one superstep path
+    # ------------------------------------------------------------------
+    def _superstep(
+        self, mode, primitive, subset, edges, fns, label, spec, columnar, interp
+    ) -> VertexSubset:
+        """Run one superstep — VERTEXMAP (``mode`` and ``edges`` are
+        ``None``) or EDGEMAP in ``mode`` ``"dense"`` / ``"sparse"`` over
+        the user functions ``fns`` (``{"F": ..., "M": ..., ...}``): open
+        it, attribute it, resolve and validate the spec, then hand it to
+        exactly one runner.  ``columnar(col, spec)`` runs the columnar
+        kernels, which commit through ``barrier_columnar`` themselves;
+        ``interp(runner)`` runs the user functions on the non-columnar
+        runner and returns ``(out, updates[, contributors])`` for the
+        barrier here.  A runner that raises aborts the superstep."""
+        fw = self.flashware
+        kind = f"edge_map_{mode}" if mode else "vertex_map"
+        F, M, C, R = (fns.get(name) for name in "FMCR")
+        fw.begin_superstep(kind, label, frontier_in=subset.size())
+        if fw.tracer.enabled:
+            attribution = {"primitive": primitive}
+            if mode:
+                attribution["mode"] = mode
+            attribution.update((name, fn_label(fn)) for name, fn in fns.items())
+            fw.annotate_span(**attribution)
+        spec, spec_origin = self._compile_spec(kind, spec, edges, F, M, C, R)
+        if self.auto_analyze and self.analysis != "off":
+            if edges is None:
+                classification = analyze_vertex_map(
+                    self, subset, F, M, label=label, spec=spec
+                )
+            else:
+                classification = analyze_edge_map(
+                    self, kind, subset, edges, F, M, C, R, label=label, spec=spec
+                )
+            if spec is not None:
+                validate_spec(self, kind, spec, classification)
+        col = self._col
+        if spec is None or col is None:
+            use_col = False
+        elif edges is None:
+            use_col = col.supports_vertex_map(fw.state, spec, F, M)
+        else:
+            use_col = col.supports_edge_map(fw.state, edges, spec, mode, F, C)
+        self._note_plan(kind, label, spec_origin, spec, use_col)
+        backend = col.name if use_col else "interp"
+        self.metrics.note_backend(backend)
+        fw.annotate_span(backend=backend)
+        try:
+            if use_col:
+                if spec_origin == "synthesized":
+                    fw.annotate_span(spec="synthesized")
+                return columnar(col, spec)
+            out, updates, *contributors = interp(self._interp)
+        except Exception:
+            fw.abort_superstep()
+            raise
+        fw.barrier(
+            updates,
+            contributors[0] if contributors else None,
+            broadcast_all=edges is not None and not edges.within_graph,
+            frontier_out=len(out),
+        )
+        return VertexSubset(self, out)
+
+    # ------------------------------------------------------------------
     # VERTEXMAP (Algorithm 1)
     # ------------------------------------------------------------------
     def vertex_map(
@@ -408,71 +470,14 @@ class FlashEngine:
         the subset of vertices that passed ``F``.
 
         ``spec`` optionally declares the superstep's computation for the
-        vectorized backend; it is ignored on the interpreted backend and
+        columnar backends; it is ignored on the interpreted backend and
         whenever it cannot be applied (fallback rules in
         ``docs/performance.md``)."""
-        fw = self.flashware
-        fw.begin_superstep("vertex_map", label, frontier_in=subset.size())
-        if fw.tracer.enabled:
-            fw.annotate_span(primitive="VERTEXMAP", F=fn_label(F), M=fn_label(M))
-        spec, spec_origin = self._compile_vertex_spec(spec, F, M)
-        if self.auto_analyze and self.analysis != "off":
-            classification = analyze_vertex_map(
-                self, subset, F, M, label=label, spec=spec
-            )
-            if spec is not None:
-                validate_spec(self, "vertex_map", spec, classification)
-        use_col = (
-            spec is not None
-            and self._columnar
-            and _vec.vertex_map_supported(self, spec, F, M)
+        return self._superstep(
+            None, "VERTEXMAP", subset, None, {"F": F, "M": M}, label, spec,
+            columnar=lambda col, spec: col.vertex_map(self, subset, F, M, spec),
+            interp=lambda run: run.run_vertex_map(self, subset, F, M),
         )
-        self._note_plan("vertex_map", label, spec_origin, spec, use_col)
-        if use_col:
-            name = "oocore" if self._oocore else "vectorized"
-            self.metrics.note_backend(name)
-            fw.annotate_span(backend=name)
-            if spec_origin == "synthesized":
-                fw.annotate_span(spec="synthesized")
-            runner = _ooc.run_vertex_map if self._oocore else _vec.run_vertex_map
-            try:
-                return runner(self, subset, F, M, spec)
-            except Exception:
-                fw.abort_superstep()
-                raise
-        self.metrics.note_backend("interp")
-        fw.annotate_span(backend="interp")
-        if self._dist is not None:
-            try:
-                d_out, d_updates = self._dist.run_vertex_map(self, subset, F, M)
-            except Exception:
-                fw.abort_superstep()
-                raise
-            fw.barrier(d_updates, None, broadcast_all=False, frontier_out=len(d_out))
-            return VertexSubset(self, d_out)
-        out: List[int] = []
-        updates: Dict[int, Dict[str, Any]] = {}
-        try:
-            for vid in subset:
-                worker = self._owner(vid)
-                view = WorkingView(self, vid)
-                if F is not None:
-                    fw.charge_ops(worker, 1)
-                    if not F(view):
-                        continue
-                if M is not None:
-                    fw.charge_ops(worker, 1)
-                    result = M(view)
-                    if isinstance(result, WorkingView):
-                        view = result
-                out.append(vid)
-                if view.staged:
-                    updates[vid] = dict(view.staged)
-        except Exception:
-            fw.abort_superstep()
-            raise
-        fw.barrier(updates, None, broadcast_all=False, frontier_out=len(out))
-        return VertexSubset(self, out)
 
     # ------------------------------------------------------------------
     # EDGEMAP (Algorithms 4-6)
@@ -530,109 +535,14 @@ class FlashEngine:
         its own working copy, stopping early when ``C`` fails."""
         if M is None:
             raise FlashUsageError("edge_map_dense requires a map function M")
-        fw = self.flashware
         issuer, self._issuer = self._issuer, None
         edges.prepare(self)
-        fw.begin_superstep("edge_map_dense", label, frontier_in=subset.size())
-        if fw.tracer.enabled:
-            fw.annotate_span(
-                primitive=issuer or "EDGEMAPDENSE",
-                mode="dense",
-                F=fn_label(F),
-                M=fn_label(M),
-                C=fn_label(C),
-            )
-        spec, spec_origin = self._compile_edge_spec(
-            "edge_map_dense", spec, edges, F, M, C, None
+        return self._superstep(
+            "dense", issuer or "EDGEMAPDENSE", subset, edges,
+            {"F": F, "M": M, "C": C}, label, spec,
+            columnar=lambda col, spec: col.edge_map_dense(self, subset, spec),
+            interp=lambda run: run.run_edge_map_dense(self, subset, edges, F, M, C),
         )
-        if self.auto_analyze and self.analysis != "off":
-            classification = analyze_edge_map(
-                self, "edge_map_dense", subset, edges, F, M, C, None,
-                label=label, spec=spec,
-            )
-            if spec is not None:
-                validate_spec(self, "edge_map_dense", spec, classification)
-        use_col = (
-            spec is not None
-            and self._columnar
-            and _vec.edge_map_supported(self, edges, spec, "dense", F, C)
-        )
-        self._note_plan("edge_map_dense", label, spec_origin, spec, use_col)
-        if use_col:
-            name = "oocore" if self._oocore else "vectorized"
-            self.metrics.note_backend(name)
-            fw.annotate_span(backend=name)
-            if spec_origin == "synthesized":
-                fw.annotate_span(spec="synthesized")
-            runner = (
-                _ooc.run_edge_map_dense if self._oocore else _vec.run_edge_map_dense
-            )
-            try:
-                return runner(self, subset, spec)
-            except Exception:
-                fw.abort_superstep()
-                raise
-        self.metrics.note_backend("interp")
-        fw.annotate_span(backend="interp")
-        if self._dist is not None:
-            try:
-                d_out, d_updates = self._dist.run_edge_map_dense(
-                    self, subset, edges, F, M, C
-                )
-            except Exception:
-                fw.abort_superstep()
-                raise
-            fw.barrier(
-                d_updates,
-                None,
-                broadcast_all=not edges.within_graph,
-                frontier_out=len(d_out),
-            )
-            return VertexSubset(self, d_out)
-
-        candidates = edges.candidate_targets(self)
-        if candidates is None:
-            target_iter: Iterable[int] = range(self.graph.num_vertices)
-        else:
-            target_iter = sorted({int(v) for v in candidates})
-
-        out: List[int] = []
-        updates: Dict[int, Dict[str, Any]] = {}
-        try:
-            for vid in target_iter:
-                sources = edges.in_sources(self, vid)
-                if len(sources) == 0:
-                    continue
-                worker = self._owner(vid)
-                view = WorkingView(self, vid)
-                applied = False
-                for src in sources:
-                    src = int(src)
-                    fw.charge_ops(worker, 1)
-                    if C is not None and not C(view):
-                        break
-                    if src not in subset:
-                        continue
-                    src_view = VertexView(self, src)
-                    if F is None or F(src_view, view):
-                        result = M(src_view, view)
-                        if isinstance(result, WorkingView):
-                            view = result
-                        applied = True
-                if applied:
-                    out.append(vid)
-                    if view.staged:
-                        updates[vid] = dict(view.staged)
-        except Exception:
-            fw.abort_superstep()
-            raise
-        fw.barrier(
-            updates,
-            None,
-            broadcast_all=not edges.within_graph,
-            frontier_out=len(out),
-        )
-        return VertexSubset(self, out)
 
     def edge_map_sparse(
         self,
@@ -655,113 +565,16 @@ class FlashEngine:
                 "edge_map_sparse requires a reduce function R; use edge_map / "
                 "edge_map_dense for the pull mode that applies M sequentially"
             )
-        fw = self.flashware
         issuer, self._issuer = self._issuer, None
         edges.prepare(self)
-        fw.begin_superstep("edge_map_sparse", label, frontier_in=subset.size())
-        if fw.tracer.enabled:
-            fw.annotate_span(
-                primitive=issuer or "EDGEMAPSPARSE",
-                mode="sparse",
-                F=fn_label(F),
-                M=fn_label(M),
-                C=fn_label(C),
-                R=fn_label(R),
-            )
-        spec, spec_origin = self._compile_edge_spec(
-            "edge_map_sparse", spec, edges, F, M, C, R
+        return self._superstep(
+            "sparse", issuer or "EDGEMAPSPARSE", subset, edges,
+            {"F": F, "M": M, "C": C, "R": R}, label, spec,
+            columnar=lambda col, spec: col.edge_map_sparse(self, subset, spec),
+            interp=lambda run: run.run_edge_map_sparse(
+                self, subset, edges, F, M, C, R
+            ),
         )
-        if self.auto_analyze and self.analysis != "off":
-            classification = analyze_edge_map(
-                self, "edge_map_sparse", subset, edges, F, M, C, R,
-                label=label, spec=spec,
-            )
-            if spec is not None:
-                validate_spec(self, "edge_map_sparse", spec, classification)
-        use_col = (
-            spec is not None
-            and self._columnar
-            and spec.kind == "reduce"
-            and _vec.edge_map_supported(self, edges, spec, "sparse", F, C)
-        )
-        self._note_plan("edge_map_sparse", label, spec_origin, spec, use_col)
-        if use_col:
-            name = "oocore" if self._oocore else "vectorized"
-            self.metrics.note_backend(name)
-            fw.annotate_span(backend=name)
-            if spec_origin == "synthesized":
-                fw.annotate_span(spec="synthesized")
-            runner = (
-                _ooc.run_edge_map_sparse if self._oocore else _vec.run_edge_map_sparse
-            )
-            try:
-                return runner(self, subset, spec)
-            except Exception:
-                fw.abort_superstep()
-                raise
-        self.metrics.note_backend("interp")
-        fw.annotate_span(backend="interp")
-        if self._dist is not None:
-            try:
-                d_out, d_updates, d_contrib = self._dist.run_edge_map_sparse(
-                    self, subset, edges, F, M, C, R
-                )
-            except Exception:
-                fw.abort_superstep()
-                raise
-            fw.barrier(
-                d_updates,
-                d_contrib,
-                broadcast_all=not edges.within_graph,
-                frontier_out=len(d_out),
-            )
-            return VertexSubset(self, d_out)
-
-        temps: Dict[int, List[Tuple[Dict[str, Any], int]]] = {}
-        out: Set[int] = set()
-        try:
-            for u in subset:
-                worker = self._owner(u)
-                src_view = VertexView(self, u)
-                for d in edges.out_targets(self, u):
-                    d = int(d)
-                    fw.charge_ops(worker, 1)
-                    if C is not None and not C(VertexView(self, d)):
-                        continue
-                    tgt_view = WorkingView(self, d)
-                    if F is not None and not F(src_view, tgt_view):
-                        continue
-                    result = M(src_view, tgt_view)
-                    if isinstance(result, WorkingView):
-                        tgt_view = result
-                    fw.charge_ops(worker, 1)
-                    temps.setdefault(d, []).append((dict(tgt_view.staged), worker))
-                    out.add(d)
-
-            updates: Dict[int, Dict[str, Any]] = {}
-            contributors: Dict[int, Set[int]] = {}
-            for d, temp_list in temps.items():
-                owner = self._owner(d)
-                acc = WorkingView(self, d)
-                for temp, part in temp_list:
-                    fw.charge_ops(owner, 1)
-                    temp_view = WorkingView(self, d, local=dict(temp))
-                    result = R(temp_view, acc)
-                    if isinstance(result, WorkingView):
-                        acc = result
-                if acc.staged:
-                    updates[d] = dict(acc.staged)
-                contributors[d] = {part for _, part in temp_list}
-        except Exception:
-            fw.abort_superstep()
-            raise
-        fw.barrier(
-            updates,
-            contributors,
-            broadcast_all=not edges.within_graph,
-            frontier_out=len(out),
-        )
-        return VertexSubset(self, sorted(out))
 
     # ------------------------------------------------------------------
     # Auxiliary operators
@@ -845,8 +658,8 @@ class FlashEngine:
         if self._closed:
             return
         self._closed = True
-        if self._ooc is not None:
-            self._ooc.close()
+        if self._col is not None:
+            self._col.close()
         if self._dist is not None:
             self._dist.close()
             self._dist = None

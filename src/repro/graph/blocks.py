@@ -17,9 +17,9 @@ streams the graph's arcs from disk.  This module owns the disk format:
   O(|V|) side arrays (degrees) ride along as ``.npy`` files.
 
 Iterating a destination row's blocks in ascending source-interval order
-replays the arcs in exact global in-CSR order — the property the
-out-of-core kernels rely on for bit-identical floating-point folds (see
-``docs/out_of_core.md``).
+replays each target's arcs in exact global in-CSR order — the property
+the columnar kernels rely on for bit-identical floating-point folds when
+they read arcs through the block store (see ``docs/out_of_core.md``).
 
 :class:`BlockStore` memory-maps shards under an LRU byte budget;
 :class:`BlockGraph` is a graph-shaped handle over a store for graphs

@@ -1,9 +1,11 @@
 """Out-of-core block execution backend (``backend="oocore"``).
 
 Streams the graph's arcs from memory-mapped edge-block shards (see
-:mod:`repro.graph.blocks`) through block-at-a-time columnar kernels that
-replicate the vectorized backend's results and charged accounting
-bit-for-bit, while keeping only O(|V|) vertex columns resident.
+:mod:`repro.graph.blocks`) through the columnar kernels of
+:mod:`repro.runtime.vectorized.kernels`, one batch per block — the same
+code the vectorized backend runs over the resident CSR, so results and
+charged accounting are bit-identical — while keeping only O(|V|) vertex
+columns resident.
 """
 
 from repro.runtime.oocore.runtime import (

@@ -1,11 +1,13 @@
-"""Out-of-core runtime state: options, context, block scheduler.
+"""Out-of-core runtime: options, and the block store as an arc source.
 
 One :class:`OocoreRuntime` lives on each ``backend="oocore"`` engine.
 It owns (or borrows) the engine's :class:`~repro.graph.blocks.BlockStore`
 — building one from the resident CSR on first use, or reusing the store
 behind a :class:`~repro.graph.blocks.BlockGraph` for graphs that were
-never resident — plus the O(|V|) context arrays the block kernels need
-and the scheduler that streams a destination row's blocks through them.
+never resident — and is the *block* provider of the arc-source seam
+(:mod:`repro.runtime.vectorized.arcs`): the columnar kernels pull one
+batch per non-skipped block through it, so only the currently mapped
+blocks plus O(|V|) columns are ever resident.
 
 Because nested engines (BC, SCC, BCC build sub-engines through
 ``make_engine``) receive no constructor kwargs, the memory budget /
@@ -15,15 +17,23 @@ scopes them the same way ``use_backend`` scopes the backend choice.
 
 from __future__ import annotations
 
-import math
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Tuple
+from functools import partial
+from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.graph.blocks import Block, BlockGraph, BlockStore, build_block_store
+from repro.graph.blocks import BlockGraph, build_block_store
+from repro.runtime.vectorized.arcs import EdgeBatch, unit_weights
+
+#: Frontier density (active sources / interval width) at or above which
+#: a block is processed in *scan* mode (bitmask over the block's arcs)
+#: instead of *select* mode (binary search against the sorted active
+#: ids) — M-Flash's dense/sparse bimodal choice.  Both modes select the
+#: same arcs, so results and charged metrics never depend on it.
+SCAN_DENSITY = 0.125
 
 
 @dataclass(frozen=True)
@@ -40,19 +50,11 @@ class OocoreOptions:
     ``directory``
         Where to build the block store; ``None`` uses a temporary
         directory removed on ``engine.close()``.
-    ``dense_block_threshold``
-        Frontier density (active sources / interval width) at or above
-        which a block is processed in *scan* mode (bitmask over the
-        block's arcs) instead of *select* mode (binary search against
-        the sorted active ids) — M-Flash's dense/sparse bimodal choice.
-        Both modes touch identical arcs; only the selection strategy
-        differs, so results and charged metrics never depend on this.
     """
 
     budget: Optional[int] = None
     interval: Optional[int] = None
     directory: Optional[str] = None
-    dense_block_threshold: float = 0.125
 
 
 _ambient = OocoreOptions()
@@ -82,31 +84,31 @@ def use_oocore(**overrides) -> Iterator[OocoreOptions]:
         _ambient = prev
 
 
-class OocContext:
-    """O(|V|)-resident arrays the block kernels share.
+def _gather(column, idx: np.ndarray) -> np.ndarray:
+    return np.asarray(column)[idx]
 
-    The deliberate difference from the vectorized backend's
-    ``_VecContext``: nothing O(|arcs|) is ever materialized — no flat
-    index arrays, no ``in_targets``, no arc-weight columns.  Arcs only
-    exist inside whichever blocks are currently mapped.
-    """
 
-    def __init__(self, engine):
-        g = engine.graph
-        part = engine.flashware.partition
-        self.graph = g
-        self.n = g.num_vertices
-        self.P = part.num_partitions
-        self.owners = part.owners()
-        self.out_degrees = np.asarray(g.out_degrees(), dtype=np.int64)
-        self.in_degrees = np.asarray(g.in_degrees(), dtype=np.int64)
-        self.in_indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.in_degrees, out=self.in_indptr[1:])
-        self._frontier_mask = np.zeros(self.n, dtype=bool)
+def _active_mask(frontier, src: np.ndarray, scan: bool, U: np.ndarray,
+                 interval: int, si: int) -> np.ndarray:
+    """Which of a block's arcs originate at an active vertex.
+
+    Scan mode consults the O(|V|) frontier bitmask per arc; select mode
+    binary-searches the (sorted) active ids restricted to the block's
+    source interval.  Identical results — the bimodal choice only trades
+    memory traffic for compute, per M-Flash."""
+    if scan:
+        return frontier[src]
+    lo = int(np.searchsorted(U, si * interval))
+    hi = int(np.searchsorted(U, (si + 1) * interval))
+    act = U[lo:hi]
+    idx = np.searchsorted(act, src)
+    np.minimum(idx, len(act) - 1, out=idx)
+    return act[idx] == src
 
 
 class OocoreRuntime:
-    """Store lifecycle + block scheduling for one oocore engine."""
+    """Store lifecycle + block scheduling for one oocore engine: the
+    block store as an arc source (one batch per non-skipped block)."""
 
     def __init__(
         self,
@@ -122,8 +124,9 @@ class OocoreRuntime:
             interval = opts.interval
         if directory is None:
             directory = opts.directory
-        self.options = opts
-        self.engine = engine
+        # the middleware, not the engine: an engine reference would
+        # close a cycle through ``engine._col.arcs``
+        self._fw = engine.flashware
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
 
         graph = engine.graph
@@ -131,18 +134,21 @@ class OocoreRuntime:
             # Semi-external graph: the store pre-exists; borrow it.
             self.store = graph.store
             self._owns_store = False
-            if budget is not None:
-                self.store.budget = max(1, int(budget))
         else:
             if directory is None:
                 self._tmp = tempfile.TemporaryDirectory(prefix="repro-oocore-")
                 directory = self._tmp.name
             self.store = build_block_store(graph, directory, interval=interval)
             self._owns_store = True
-            if budget is not None:
-                self.store.budget = max(1, int(budget))
+        if budget is not None:
+            self.store.budget = max(1, int(budget))
         self.store.on_miss = self._charge_io
-        self.ctx = OocContext(engine)
+        rows = range(self.store.num_intervals)
+        #: the manifest in streaming order: (di, si) ascending
+        self._metas = [m for di in rows for m in self.store.row_metas(di)]
+        n, width = self.store.num_vertices, self.store.interval
+        #: vertices per source interval (the last one may be short)
+        self._widths = np.maximum(np.minimum(width, n - width * np.asarray(rows)), 1)
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -150,56 +156,52 @@ class OocoreRuntime:
         """Block-store cache-miss hook: charge the read to the running
         superstep (adjacency reads between supersteps go uncharged —
         there is no record to attribute them to)."""
-        rec = self.engine.flashware._current
+        rec = self._fw._current
         if rec is not None:
             rec.blocks_read += 1
             rec.bytes_read += meta.bytes
 
     # ------------------------------------------------------------------
-    def active_per_interval(self, ids: np.ndarray) -> np.ndarray:
-        """Active-source counts per source interval — the frontier-skip
-        index: blocks in an interval with zero actives are never read."""
-        counts = np.zeros(self.store.num_intervals, dtype=np.int64)
-        if len(ids):
-            counts += np.bincount(
-                ids // self.store.interval, minlength=self.store.num_intervals
-            )
-        return counts
+    # The arc-source methods (see repro.runtime.vectorized.arcs)
+    # ------------------------------------------------------------------
+    def pull(self, ctx, state, U, eligible=None) -> Iterator[EdgeBatch]:
+        return self._stream("pull", ctx, state, U, eligible)
 
-    def stream_row(
-        self,
-        di: int,
-        active_per_si: Optional[np.ndarray],
-        kind: str,
-    ) -> Iterator[Tuple[Block, str]]:
-        """Stream destination row ``di``'s non-empty blocks in ascending
-        source-interval order (== global in-CSR arc order within the
-        row), skipping source intervals with no active vertices.
+    def push(self, ctx, state, U) -> Iterator[EdgeBatch]:
+        # The in-CSR layout covers every arc, so the one grid serves the
+        # push direction too: the out-arcs of U are the arcs with an
+        # active source, whichever row they sit in.
+        return self._stream("push", ctx, state, U, None)
 
-        Yields ``(block, mode)`` where ``mode`` is the per-block
-        processing strategy (``{kind}.scan`` or ``{kind}.select``)
-        chosen from frontier density.  Emits one ``oocore.block`` span
-        per block streamed; cache misses are charged to the superstep by
+    def _stream(self, kind, ctx, state, U, eligible) -> Iterator[EdgeBatch]:
+        """Stream the non-empty blocks row by row, ascending source
+        interval within a row (== each target's global in-CSR arc
+        order), skipping source intervals with no active vertex — those
+        blocks are never read — and yield each block's active arcs as
+        one batch.
+
+        The per-block selection strategy (``{kind}.scan`` or
+        ``{kind}.select``) is chosen from frontier density.  Emits one
+        ``oocore.block`` span per block streamed — ended in ``finally``,
+        so the block a kernel failed in (or stopped at) is in the trace,
+        flagged ``error``; cache misses are charged to the superstep by
         the store's miss hook.
         """
         store = self.store
-        fw = self.engine.flashware
-        tracer = fw.tracer
+        tracer = self._fw.tracer
         interval = store.interval
-        for meta in store.row_metas(di):
-            si = meta.si
-            if active_per_si is not None and active_per_si[si] == 0:
+        active_per_si = np.bincount(U // interval, minlength=store.num_intervals)
+        scan_si = active_per_si / self._widths >= SCAN_DENSITY
+        frontier = None
+        if scan_si[active_per_si > 0].any():
+            frontier = np.zeros(ctx.n, dtype=bool)
+            frontier[U] = True
+        for meta in self._metas:
+            di, si = meta.di, meta.si
+            if active_per_si[si] == 0:
                 continue
-            if active_per_si is None:
-                mode = f"{kind}.scan"
-            else:
-                width = min(interval, store.num_vertices - si * interval)
-                density = active_per_si[si] / max(width, 1)
-                mode = (
-                    f"{kind}.scan"
-                    if density >= self.options.dense_block_threshold
-                    else f"{kind}.select"
-                )
+            scan = bool(scan_si[si])
+            mode = f"{kind}.scan" if scan else f"{kind}.select"
             span = (
                 tracer.start(
                     "oocore.block", cat="oocore",
@@ -208,14 +210,28 @@ class OocoreRuntime:
                 if tracer.enabled
                 else None
             )
-            block, hit = store.get(di, si)
-            yield block, mode
-            if span is not None:
-                span.end(bytes=meta.bytes, cached=hit, mode=mode)
-
-    @property
-    def num_rows(self) -> int:
-        return self.store.num_intervals
+            hit = None
+            failed = True
+            try:
+                block, hit = store.get(di, si)
+                src = np.asarray(block.src)
+                dst = np.asarray(block.dst)
+                keep = _active_mask(frontier, src, scan, U, interval, si)
+                if eligible is not None:
+                    keep &= eligible[dst]
+                sel = np.flatnonzero(keep)
+                if len(sel):
+                    yield EdgeBatch(
+                        ctx, state, src[sel], dst[sel], sel,
+                        unit_weights if block.w is None else partial(_gather, block.w),
+                        partial(_gather, block.pos) if kind == "pull" else None,
+                        di,
+                    )
+                failed = False
+            finally:
+                if span is not None:
+                    outcome = {"error": True} if failed else {}
+                    span.end(bytes=meta.bytes, cached=hit, mode=mode, **outcome)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

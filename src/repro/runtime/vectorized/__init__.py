@@ -8,9 +8,13 @@ This package is the second execution backend underneath
   interpreted :class:`~repro.runtime.state.VertexState`;
 * :mod:`~repro.runtime.vectorized.specs` — declarative kernel specs that
   algorithms attach to ``vertex_map``/``edge_map`` calls;
-* :mod:`~repro.runtime.vectorized.kernels` — push/pull EDGEMAP and
-  VERTEXMAP kernels over the existing CSR with ``min``/``max``/``sum``/
-  ``or`` reductions, accounting-equivalent to the interpreted path;
+* :mod:`~repro.runtime.vectorized.kernels` — the one set of push/pull
+  EDGEMAP and VERTEXMAP kernels (``min``/``max``/``sum``/``or``/``last``
+  reductions), accounting-equivalent to the interpreted path, written as
+  folds over arc batches;
+* :mod:`~repro.runtime.vectorized.arcs` — the arc-source seam those
+  kernels read arcs through: the resident CSR here, the block store in
+  :mod:`repro.runtime.oocore`;
 * :mod:`~repro.runtime.vectorized.dispatch` — process-wide default
   backend selection (``use_backend`` / ``default_backend``).
 

@@ -17,14 +17,11 @@ Backends
     NumPy columnar state + vectorized kernels for supersteps that carry a
     matching spec; everything else falls back to the interpreted kernels
     (running on the typed state) within the same run.
-``auto``
-    Alias for ``vectorized`` — the dispatcher already falls back
-    per-superstep, so "use vectorized whenever possible" is the auto
-    policy.
 ``oocore``
     Out-of-core block execution: only vertex columns stay resident and
-    edge blocks stream from memory-mapped ``.npy`` shards through
-    block-at-a-time columnar kernels (bit-identical to ``vectorized``).
+    edge blocks stream from memory-mapped ``.npy`` shards through the
+    same columnar kernels, one batch per block (bit-identical to
+    ``vectorized``).
     Kernels without a spec fall back to the interpreted path — over
     block-paged adjacency when the graph itself is out of core.  Budget
     and block-size knobs are scoped with
@@ -36,7 +33,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-BACKENDS = ("interp", "vectorized", "auto", "oocore")
+BACKENDS = ("interp", "vectorized", "oocore")
 
 _default_backend = "interp"
 

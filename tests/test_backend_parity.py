@@ -1,6 +1,8 @@
 """Backend parity: the vectorized NumPy executor must be observationally
 identical to the interpreted one — same results, same superstep count,
-and the same message/value accounting — across the whole Table IV suite.
+and the same message/value accounting — across the whole Table IV suite
+(the sweep itself is ``tests/parity.py``, shared with the out-of-core
+backend).
 
 The six explicitly spec'd algorithms (CC, BFS, SSSP, PageRank, k-core,
 LPA) are additionally held to *full* summary equality (ops and the
@@ -11,7 +13,8 @@ the vectorized path.
 import numpy as np
 import pytest
 
-from repro import load_dataset, random_graph
+from parity import SuiteParity
+from repro import random_graph
 from repro.__main__ import main
 from repro.algorithms import (
     bfs, cc_basic, kcore_basic, kcore_opt, lpa, pagerank, sssp,
@@ -19,7 +22,7 @@ from repro.algorithms import (
 from repro.core.engine import FlashEngine
 from repro.runtime.flashware import FlashwareOptions
 from repro.runtime.vectorized import TypedVertexState, use_backend
-from repro.suite import APPS, DIRECTED_APPS, prepare_graph, run_app
+from repro.suite import run_app
 
 
 @pytest.fixture(scope="module")
@@ -44,25 +47,12 @@ def _pair(fn, *args, **kwargs):
 # ---------------------------------------------------------------------------
 # Whole-suite sweep
 # ---------------------------------------------------------------------------
-class TestSuiteParity:
-    @pytest.mark.parametrize("app", APPS)
-    def test_app_parity(self, app, graph):
-        g = graph
-        if app in DIRECTED_APPS:
-            g = load_dataset("OR", scale=0.05, directed=True)
-        g = prepare_graph(app, g)
-        interp = run_app("flash", app, g, num_workers=3, backend="interp")
-        vec = run_app("flash", app, g, num_workers=3, backend="vectorized")
-        assert vec.values == interp.values, app
-        assert vec.metrics.num_supersteps == interp.metrics.num_supersteps, app
-        assert vec.metrics.total_messages == interp.metrics.total_messages, app
-        assert vec.metrics.total_values == interp.metrics.total_values, app
+class TestSuiteParity(SuiteParity):
+    backend = "vectorized"
 
-    def test_auto_is_vectorized_alias(self, graph):
-        vec = run_app("flash", "bfs", graph, num_workers=3, backend="vectorized")
-        auto = run_app("flash", "bfs", graph, num_workers=3, backend="auto")
-        assert auto.values == vec.values
-        assert auto.metrics.summary() == vec.metrics.summary()
+    def test_auto_alias_removed(self, graph):
+        with pytest.raises(ValueError, match="unknown backend 'auto'"):
+            run_app("flash", "bfs", graph, num_workers=3, backend="auto")
 
 
 # ---------------------------------------------------------------------------

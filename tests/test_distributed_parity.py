@@ -97,7 +97,7 @@ def test_mp_matches_vectorized(app):
 
     Value equality (not pickle bytes): the vectorized backend may hand
     back NumPy scalars where the interpreter has Python ints."""
-    vec = run_app("flash", app, _graph(app), num_workers=4, backend="auto")
+    vec = run_app("flash", app, _graph(app), num_workers=4, backend="vectorized")
     mp = run_app("flash", app, _graph(app), num_workers=4, executor="mp")
     assert list(mp.values) == list(vec.values)
 

@@ -1,8 +1,9 @@
 """Out-of-core backend parity: ``backend="oocore"`` must be
-observationally identical to ``vectorized`` — same values and the same
-charged metrics — across the whole Table IV suite, with the only
-allowed difference being the two I/O counters (``blocks_read`` /
-``bytes_read``) that the block scheduler charges and the in-memory
+observationally identical to the in-memory backends — same values and
+the same charged metrics — across the whole Table IV suite (the sweep
+itself is ``tests/parity.py``, shared with the vectorized backend), with
+the only allowed difference being the two I/O counters (``blocks_read``
+/ ``bytes_read``) that the block scheduler charges and the in-memory
 backends never do.
 
 Also covers: the low-memory-budget configuration (evictions forced,
@@ -17,18 +18,16 @@ import os
 import numpy as np
 import pytest
 
-from repro import load_dataset, random_graph
+from parity import SPECCED_APPS, SuiteParity, strip_io
+from repro import random_graph
 from repro.__main__ import main
 from repro.algorithms import bfs, kcore_opt, pagerank, sssp
 from repro.core.engine import FlashEngine
+from repro.core.primitives import ctrue
 from repro.runtime.oocore import OocoreOptions, current_oocore_options, use_oocore
-from repro.runtime.vectorized import use_backend
-from repro.suite import APPS, DIRECTED_APPS, prepare_graph, run_app
-
-#: Apps whose FLASH variants carry hand-written specs, so at least one
-#: superstep must dispatch the oocore block kernels and charge I/O.
-SPECCED_APPS = {"cc", "bfs", "kc", "bcc", "lpa"}
-
+from repro.runtime.tracing import RingBufferSink, Tracer
+from repro.runtime.vectorized import EdgeMapSpec, use_backend
+from repro.suite import run_app
 
 @pytest.fixture(scope="module")
 def graph():
@@ -38,11 +37,6 @@ def graph():
 @pytest.fixture(scope="module")
 def weighted(graph):
     return graph.with_random_weights(seed=7)
-
-
-def _strip_io(summary):
-    io = (summary.pop("blocks_read"), summary.pop("bytes_read"))
-    return summary, io
 
 
 def _suite_pair(app, graph, **kwargs):
@@ -55,22 +49,8 @@ def _suite_pair(app, graph, **kwargs):
 # ---------------------------------------------------------------------------
 # Whole-suite sweep
 # ---------------------------------------------------------------------------
-class TestSuiteParity:
-    @pytest.mark.parametrize("app", APPS)
-    def test_app_parity(self, app, graph):
-        g = graph
-        if app in DIRECTED_APPS:
-            g = load_dataset("OR", scale=0.05, directed=True)
-        g = prepare_graph(app, g)
-        vec, ooc = _suite_pair(app, g)
-        assert ooc.values == vec.values, app
-        vec_summary, vec_io = _strip_io(vec.metrics.summary())
-        ooc_summary, ooc_io = _strip_io(ooc.metrics.summary())
-        assert ooc_summary == vec_summary, app
-        assert vec_io == (0, 0), app  # in-memory backends never touch disk
-        if app in SPECCED_APPS:
-            assert ooc.metrics.backend_choices.get("oocore", 0) > 0, app
-            assert ooc_io[0] > 0 and ooc_io[1] > 0, app
+class TestSuiteParity(SuiteParity):
+    backend = "oocore"
 
     @pytest.mark.parametrize("app", sorted(SPECCED_APPS - {"kc"}) + ["mis", "bc"])
     def test_compile_analysis_parity(self, app, graph):
@@ -78,8 +58,8 @@ class TestSuiteParity:
         block kernels with the same values and charged metrics too."""
         vec, ooc = _suite_pair(app, graph, analysis="compile")
         assert ooc.values == vec.values, app
-        vec_summary, _ = _strip_io(vec.metrics.summary())
-        ooc_summary, _ = _strip_io(ooc.metrics.summary())
+        vec_summary, _ = strip_io(vec.metrics.summary())
+        ooc_summary, _ = strip_io(ooc.metrics.summary())
         assert ooc_summary == vec_summary, app
 
 
@@ -124,19 +104,19 @@ class TestBudget:
         with use_oocore(interval=8, budget=1):
             low = run_app("flash", "bfs", graph, num_workers=3, backend="oocore")
         assert low.values == vec.values
-        vec_summary, _ = _strip_io(vec.metrics.summary())
-        low_summary, low_io = _strip_io(low.metrics.summary())
+        vec_summary, _ = strip_io(vec.metrics.summary())
+        low_summary, low_io = strip_io(low.metrics.summary())
         assert low_summary == vec_summary
         # With nothing retained across supersteps, every visit is a read.
         _, ooc = _suite_pair("bfs", graph)
-        _, ample_io = _strip_io(ooc.metrics.summary())
+        _, ample_io = strip_io(ooc.metrics.summary())
         assert low_io[0] >= ample_io[0]
 
     def test_engine_budget_kwarg(self, graph):
         with FlashEngine(graph, num_workers=3, backend="oocore",
                          oocore_budget=1, oocore_interval=8) as eng:
             bfs(eng, root=0)
-            store = eng._ooc.store
+            store = eng._col.arcs.store
             assert store.budget == 1
             assert store.blocks_evicted > 0
 
@@ -200,7 +180,7 @@ class TestClose:
         eng = FlashEngine(graph, num_workers=3, backend="oocore",
                           oocore_interval=8)
         bfs(eng, root=0)
-        runtime = eng._ooc
+        runtime = eng._col.arcs
         eng.close()
         assert runtime.store.closed
         eng.close()  # second close is a no-op
@@ -208,10 +188,59 @@ class TestClose:
     def test_store_directory_cleaned_up(self, graph):
         eng = FlashEngine(graph, num_workers=3, backend="oocore",
                           oocore_interval=8)
-        directory = eng._ooc.store.directory
+        directory = eng._col.arcs.store.directory
         assert directory.exists()
         eng.close()
         assert not directory.exists()  # temporary store removed with engine
+
+
+# ---------------------------------------------------------------------------
+# A kernel that raises mid-stream
+# ---------------------------------------------------------------------------
+class TestKernelFailure:
+    def test_failed_block_is_in_the_trace(self, graph):
+        """A spec value that raises on the second streamed block must
+        leave that block's ``oocore.block`` span in the trace (flagged
+        ``error``), abort the superstep, and not leak any mmap."""
+        calls = []
+
+        def value(k):
+            calls.append(len(k))
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return k.sp("rank")
+
+        def scatter(s, d):
+            d.acc = d.acc + s.rank
+            return d
+
+        spec = EdgeMapSpec(prop="acc", reduce="sum", value=value,
+                           reads=("rank", "acc"))
+        sink = RingBufferSink()
+        eng = FlashEngine(graph, num_workers=3, backend="oocore",
+                          oocore_interval=8, tracer=Tracer(sink))
+        baseline = _open_fds()
+        eng.add_property("rank", 1.0)
+        eng.add_property("acc", 0.0)
+        with pytest.raises(RuntimeError, match="boom"):
+            eng.edge_map_dense(eng.V, eng.E, ctrue, scatter, ctrue, spec=spec)
+
+        blocks = [s for s in sink.spans() if s.name == "oocore.block"]
+        assert len(blocks) == 2  # the failing block is not missing
+        assert "error" not in blocks[0].args
+        assert blocks[1].args["error"] is True
+        assert blocks[1].args["mode"] == "pull.scan"
+        (superstep,) = [s for s in sink.spans() if s.name == "edgemap.pull"]
+        assert superstep.args["aborted"] is True
+        assert blocks[1].ts + blocks[1].dur <= superstep.ts + superstep.dur
+        (record,) = eng.metrics.records
+        assert record.aborted
+
+        store = eng._col.arcs.store
+        assert store.mapped_bytes > 0
+        eng.close()
+        assert store.closed and store.mapped_bytes == 0
+        assert _open_fds() <= baseline
 
 
 # ---------------------------------------------------------------------------
