@@ -78,9 +78,9 @@ def _mp_run(app, graph, workers, analysis):
                      analysis=analysis, executor="mp")
     wall = time.perf_counter() - start
     dist = result.extra["distributed"]
-    # ``bytes_sent`` at the top level is pool-lifetime (the worker pool
-    # outlives engines); the per-superstep rows are deltas, so their sum
-    # is this run's barrier traffic.
+    # Top-level ``bytes_sent`` is the whole session (open, bootstrap and
+    # close included); the per-superstep rows sum to the superstep
+    # traffic the plan acts on.
     step_bytes = sum(s["bytes_sent"] for s in dist["per_superstep"])
     return result, wall, dist, step_bytes
 

@@ -517,7 +517,7 @@ class FlashEngine:
         if type(edges) is BaseEdges:
             if self._out_degree_cache is None:
                 self._out_degree_cache = self.graph.out_degrees()
-            return int(self._out_degree_cache[subset._sorted].sum())
+            return int(self._out_degree_cache[subset.as_array()].sum())
         return edges.out_work(self, subset)
 
     def edge_map_dense(

@@ -532,15 +532,16 @@ class BlockGraph:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)
 
-    # -- partitioner fast path ----------------------------------------
+    # -- partitioner surface -------------------------------------------
     def neighbor_partition_mask(
         self, owner: np.ndarray, num_partitions: int
     ) -> np.ndarray:
         """``(n, P)`` boolean mask: partition ``p`` holds a neighbor of
-        vertex ``v``.  One streaming pass over all blocks — the bulk
-        replacement for the per-vertex adjacency scan
-        :class:`~repro.graph.partition.PartitionMap` would otherwise
-        need (prohibitive through block-paged adjacency)."""
+        vertex ``v`` (:meth:`Graph.neighbor_partition_mask
+        <repro.graph.graph.Graph.neighbor_partition_mask>` in one
+        streaming pass over all blocks) — what
+        :class:`~repro.graph.partition.PartitionMap` lays mirrors out
+        from."""
         n = self.num_vertices
         mask = np.zeros((n, num_partitions), dtype=bool)
         store = self.store

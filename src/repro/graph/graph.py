@@ -181,6 +181,25 @@ class Graph:
             return self._out.degrees() + self._in.degrees()
         return self._out.degrees()
 
+    def neighbor_partition_mask(
+        self, owner: np.ndarray, num_partitions: int
+    ) -> np.ndarray:
+        """``(n, P)`` boolean mask: partition ``p`` holds an in- or
+        out-neighbor of vertex ``v`` — what
+        :class:`~repro.graph.partition.PartitionMap` lays mirrors out
+        from, in one pass over the CSR arrays."""
+        n = self._num_vertices
+        mask = np.zeros(n * num_partitions, dtype=bool)
+        for csr in (self._out, self._in) if self._directed else (self._out,):
+            # flat (vertex, owner-of-neighbor) cell of every arc
+            cell = np.repeat(
+                np.arange(0, n * num_partitions, num_partitions, dtype=np.int64),
+                csr.degrees(),
+            )
+            cell += owner[csr.indices]
+            mask[cell] = True
+        return mask.reshape(n, num_partitions)
+
     def has_edge(self, s: int, d: int) -> bool:
         """True when an arc ``s -> d`` exists (either direction stored for
         undirected graphs)."""

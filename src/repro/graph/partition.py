@@ -34,34 +34,14 @@ class PartitionMap:
         self._members: List[np.ndarray] = [
             np.nonzero(self._owner == p)[0] for p in range(num_partitions)
         ]
-        self._neighbor_mirrors: List[FrozenSet[int]] = self._compute_neighbor_mirrors()
-        self._neighbor_mirror_counts: np.ndarray = np.fromiter(
-            (len(m) for m in self._neighbor_mirrors),
-            dtype=np.int64,
-            count=graph.num_vertices,
-        )
-
-    def _compute_neighbor_mirrors(self) -> List[FrozenSet[int]]:
-        """For each vertex, the partitions (other than its owner) holding at
-        least one in- or out-neighbor — the *necessary mirrors*."""
-        g = self._graph
-        hook = getattr(g, "neighbor_partition_mask", None)
-        if hook is not None:
-            # Bulk path for graphs with expensive per-vertex adjacency
-            # (block-paged out-of-core graphs): one streaming pass yields
-            # an (n, P) neighbor-partition mask.
-            mask = np.asarray(hook(self._owner, self._num_partitions), dtype=bool)
-            if g.num_vertices:
-                mask[np.arange(g.num_vertices), self._owner] = False
-            return [frozenset(np.flatnonzero(row).tolist()) for row in mask]
-        result: List[FrozenSet[int]] = []
-        for v in range(g.num_vertices):
-            parts = set(self._owner[g.out_neighbors(v)].tolist())
-            if g.directed:
-                parts.update(self._owner[g.in_neighbors(v)].tolist())
-            parts.discard(int(self._owner[v]))
-            result.append(frozenset(parts))
-        return result
+        # The *necessary mirrors* as one (|V|, P) mask: partition p (other
+        # than v's owner) holds at least one in- or out-neighbor of v.
+        mask = graph.neighbor_partition_mask(self._owner, num_partitions)
+        mask[np.arange(graph.num_vertices), self._owner] = False
+        self._mirror_mask: np.ndarray = mask
+        self._neighbor_mirror_counts: np.ndarray = np.count_nonzero(mask, axis=1)
+        #: ``neighbor_mirrors`` results, derived per vertex on request.
+        self._mirror_sets: Dict[int, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -90,7 +70,12 @@ class PartitionMap:
     def neighbor_mirrors(self, v: int) -> FrozenSet[int]:
         """Partitions holding a *necessary* mirror of ``v`` (those with at
         least one neighbor of ``v``)."""
-        return self._neighbor_mirrors[v]
+        mirrors = self._mirror_sets.get(v)
+        if mirrors is None:
+            mirrors = self._mirror_sets[v] = frozenset(
+                np.flatnonzero(self._mirror_mask[v]).tolist()
+            )
+        return mirrors
 
     def neighbor_mirror_counts(self) -> np.ndarray:
         """``len(neighbor_mirrors(v))`` for every vertex as one array —
@@ -110,8 +95,7 @@ class PartitionMap:
         n = self._graph.num_vertices
         if n == 0:
             return 0.0
-        total = sum(1 + len(m) for m in self._neighbor_mirrors)
-        return total / n
+        return (n + int(self._neighbor_mirror_counts.sum())) / n
 
     def partition_sizes(self) -> List[int]:
         return [len(m) for m in self._members]
@@ -119,20 +103,18 @@ class PartitionMap:
     def edge_load(self) -> List[int]:
         """Out-arcs whose source is mastered by each partition — the unit of
         per-worker compute in the cost model."""
-        degs = self._graph.out_csr.degrees()
-        load = [0] * self._num_partitions
-        for v in range(self._graph.num_vertices):
-            load[int(self._owner[v])] += int(degs[v])
-        return load
+        loads = np.bincount(
+            self._owner,
+            weights=self._graph.out_degrees(),
+            minlength=self._num_partitions,
+        )
+        return loads.astype(np.int64).tolist()
 
     def cut_arcs(self) -> int:
         """Arcs whose endpoints are mastered by different partitions."""
+        out = self._graph.out_csr
         owner = self._owner
-        return sum(
-            1
-            for s, d in self._graph.out_csr.iter_arcs()
-            if owner[s] != owner[d]
-        )
+        return int((np.repeat(owner, out.degrees()) != owner[out.indices]).sum())
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -387,6 +387,9 @@ atexit.register(shutdown_pools)
 # ---------------------------------------------------------------------------
 _SIDS = itertools.count(1)
 
+#: ``WorkerPool`` counters a session reports as deltas since it opened.
+_TRAFFIC_COUNTERS = ("bytes_sent", "bytes_recv", "messages_sent", "messages_recv")
+
 
 class DistSession:
     """One engine's connection to the pool: kernel offload, commit
@@ -400,6 +403,9 @@ class DistSession:
         self.nworkers = pool.nworkers
         self.owners = fw.partition.owners()
         self.members = [fw.partition.members(p).tolist() for p in range(self.nworkers)]
+        # The pool outlives sessions; this session's traffic is what the
+        # pool's counters moved by since it opened.
+        self._traffic0 = {name: getattr(pool, name) for name in _TRAFFIC_COUNTERS}
         self.token = pool.acquire_graph(fw.graph)
         self._open_payload = {
             "graph_token": self.token,
@@ -503,10 +509,8 @@ class DistSession:
         out["worker_cpu_s"] = round(out["worker_cpu_s"], 6)
         out["critical_path_s"] = round(out["critical_path_s"], 6)
         out["workers"] = self.nworkers
-        out["bytes_sent"] = self.pool.bytes_sent
-        out["bytes_recv"] = self.pool.bytes_recv
-        out["messages_sent"] = self.pool.messages_sent
-        out["messages_recv"] = self.pool.messages_recv
+        for name, at_open in self._traffic0.items():
+            out[name] = getattr(self.pool, name) - at_open
         out["respawns"] = self.pool.respawns
         out["respawn_wall_s"] = round(self.pool.respawn_wall_s, 6)
         out["bytes_reshipped"] = self.pool.bytes_reshipped
@@ -984,7 +988,8 @@ class DistributedFlashware(Flashware):
             n for n in names
             if n not in self._critical and self.state.has_property(n)
         ]
-        debts = {n: set(self._unsynced.get(n, ())) for n in fresh}
+        # super() pops the debt masks it pays; keep them for the real side
+        debts = {n: self._unsynced.get(n) for n in fresh}
         super().mark_critical(names)
         session = self.session
         if session is None:
@@ -995,15 +1000,13 @@ class DistributedFlashware(Flashware):
             # simulated model pays only the per-vertex debt below).
             session.ship_column(name, self.state.column(name))
             if (
-                debts[name]
+                debts[name] is not None
                 and self.options.sync_critical_only
                 and self._current is not None
             ):
                 # Real counterpart of the charged promotion debt.
-                for vid in debts[name]:
-                    mirrors = self.partition.neighbor_mirrors(vid)
-                    if mirrors:
-                        session.step_add("sync_entries", len(mirrors))
+                counts = self.partition.neighbor_mirror_counts()
+                session.step_add("sync_entries", int(counts[debts[name]].sum()))
         if fresh:
             session.mark_critical(fresh)
 

@@ -128,10 +128,10 @@ class Flashware:
         #: the no-op NULL_TRACER, keeping the untraced path free.
         self.tracer = current_tracer()
         self._span: Optional[SpanHandle] = None
-        # Vertices whose value of a (so far) non-critical property changed
-        # without being synced — the debt paid if the property is later
-        # promoted to critical.
-        self._unsynced: Dict[str, Set[int]] = {}
+        # Per (so far) non-critical property, a |V| mask of the vertices
+        # whose value changed without being synced — the debt paid if the
+        # property is later promoted to critical.
+        self._unsynced: Dict[str, np.ndarray] = {}
         # ---- fault tolerance (see repro.runtime.recovery) ----
         # Logical superstep counter: the number of *committed* supersteps
         # of the current execution attempt (aborted supersteps do not
@@ -330,6 +330,7 @@ class Flashware:
         changed_vids: Set[int] = set()
         contributors = contributors or {}
         commit_log: list = []
+        debt: Dict[str, list] = {}
 
         for vid, props in updates.items():
             changed = {
@@ -361,7 +362,7 @@ class Flashware:
             if self.options.sync_critical_only:
                 for name in changed:
                     if name not in self._critical:
-                        self._unsynced.setdefault(name, set()).add(vid)
+                        debt.setdefault(name, []).append(vid)
             if not sync_props:
                 continue
             if broadcast_all or not self.options.necessary_mirrors_only:
@@ -373,6 +374,8 @@ class Flashware:
                 size = sum(payload_size(changed[name]) for name in sync_props)
                 rec.sync_values += len(mirrors) * size
 
+        for name, vids in debt.items():
+            self._record_debt(name, vids)
         rec.frontier_out = frontier_out
         if sync_span is not None:
             sync_span.end(
@@ -386,6 +389,13 @@ class Flashware:
             self._after_commit_updates(commit_log, broadcast_all, rec)
         self._finish_commit(rec)
         return changed_vids
+
+    def _record_debt(self, name: str, vids: Any) -> None:
+        """Note that non-critical ``name`` changed at ``vids`` unsynced."""
+        mask = self._unsynced.get(name)
+        if mask is None:
+            mask = self._unsynced[name] = np.zeros(self.graph.num_vertices, dtype=bool)
+        mask[vids] = True
 
     def _after_commit_updates(self, commits, broadcast_all: bool, rec: SuperstepRecord) -> None:
         """Hook called with the commit log just before a superstep's
@@ -515,9 +525,7 @@ class Flashware:
                 else:
                     sync_values += int((counts * pay[mask]).sum())
             else:
-                self._unsynced.setdefault(name, set()).update(
-                    int(v) for v in changed_ids.tolist()
-                )
+                self._record_debt(name, changed_ids)
         if any_synced.any():
             rec.sync_messages += int(mirror_counts[ids[any_synced]].sum())
             rec.sync_values += sync_values
@@ -574,15 +582,27 @@ class Flashware:
                 raise KeyError(f"unknown property {name!r}")
             self._critical.add(name)
             debt = self._unsynced.pop(name, None)
-            if debt and self.options.sync_critical_only and self._current is not None:
+            if (
+                debt is not None
+                and self.options.sync_critical_only
+                and self._current is not None
+            ):
                 rec = self._current
-                for vid in debt:
-                    mirrors = self.partition.neighbor_mirrors(vid)
-                    if mirrors:
-                        rec.sync_messages += len(mirrors)
-                        rec.sync_values += len(mirrors) * payload_size(
-                            self.state.get(vid, name)
+                vids = np.flatnonzero(debt)
+                counts = self.partition.neighbor_mirror_counts()[vids]
+                messages = int(counts.sum())
+                rec.sync_messages += messages
+                column = self.state.column(name)
+                if isinstance(column, np.ndarray):
+                    rec.sync_values += messages  # scalar payload == 1
+                else:
+                    mirrored = counts > 0
+                    rec.sync_values += sum(
+                        count * payload_size(column[vid])
+                        for vid, count in zip(
+                            vids[mirrored].tolist(), counts[mirrored].tolist()
                         )
+                    )
 
     def note_analyzed(self, names: Iterable[str]) -> None:
         """Record that the analysis has seen these properties (without
@@ -617,7 +637,7 @@ class Flashware:
             },
             "critical": set(self._critical),
             "analyzed": set(self._analyzed),
-            "unsynced": {k: set(v) for k, v in self._unsynced.items()},
+            "unsynced": {k: v.copy() for k, v in self._unsynced.items()},
             "superstep": self.superstep_seq,
         }
 
@@ -666,7 +686,7 @@ class Flashware:
                 live[:] = restored
         self._critical = set(snapshot["critical"])
         self._analyzed = set(snapshot["analyzed"])
-        self._unsynced = {k: set(v) for k, v in snapshot["unsynced"].items()}
+        self._unsynced = {k: v.copy() for k, v in snapshot["unsynced"].items()}
 
     def reset_for_recovery(self) -> None:
         """Reset the logical run state for a recovery re-execution: fresh

@@ -20,8 +20,8 @@ The order contract — what makes per-target ``sum`` / ``min`` / ``last``
 folds and first-arc selection bit-identical across sources:
 
 * batches arrive in ascending destination row (``batch.row``; the
-  resident CSR is a single row), so targets never go back to an earlier
-  row;
+  resident CSR is a single row, pulled in bounded slices of ascending
+  in-CSR position), so targets never go back to an earlier row;
 * in both directions each target's arcs arrive in ascending source
   order — the in-CSR order :mod:`repro.graph.blocks` lays shards out
   in — so a stable sort of the arrived arcs by target is the in-CSR
@@ -118,8 +118,20 @@ class EdgeBatch:
         return len(self.src)
 
 
+#: Arcs per ``ResidentArcs.pull`` batch.  A dense superstep makes ~8
+#: arc-sized temporaries (selection mask, ``pos`` / ``src`` / ``dst``,
+#: gathered values).  Bounded slices keep that footprint at a few MB
+#: whatever the graph, which malloc recycles; 25+ MB per superstep (the
+#: whole CSR of a 400 k-arc graph at once) is returned to the kernel and
+#: page-faulted back in (~9 k faults, +12 % on a 100 ms op) in some heap
+#: states and not in others, so op time depends on the process's
+#: allocation history.
+PULL_BATCH_ARCS = 1 << 16
+
+
 class ResidentArcs:
-    """The resident CSR as an arc source: one batch per superstep.
+    """The resident CSR as an arc source: ``pull`` streams the in-CSR in
+    slices of ``PULL_BATCH_ARCS`` arcs, ``push`` hands out one batch.
 
     The only O(|arcs|) arrays the columnar tier keeps live here."""
 
@@ -143,13 +155,18 @@ class ResidentArcs:
             )
         frontier = np.zeros(ctx.n, dtype=bool)
         frontier[U] = True
-        active = frontier[in_csr.indices]
-        if eligible is not None:
-            active &= eligible[tgts]
-        pos = np.flatnonzero(active)
-        yield EdgeBatch(
-            ctx, state, in_csr.indices[pos], tgts[pos], pos, self._in_w, _identity
-        )
+        srcs = in_csr.indices
+        for lo in range(0, len(srcs), PULL_BATCH_ARCS):
+            hi = lo + PULL_BATCH_ARCS
+            active = frontier[srcs[lo:hi]]
+            if eligible is not None:
+                active &= eligible[tgts[lo:hi]]
+            pos = np.flatnonzero(active)
+            if len(pos):
+                pos += lo
+                yield EdgeBatch(
+                    ctx, state, srcs[pos], tgts[pos], pos, self._in_w, _identity
+                )
 
     def push(self, ctx, state, U) -> Iterator[EdgeBatch]:
         out_csr = self.graph.out_csr
@@ -167,4 +184,6 @@ class ResidentArcs:
         )
 
     def close(self) -> None:
-        pass
+        """Drop the O(|arcs|) target column, so a closed engine that is
+        still referenced does not pin it (a later pull rebuilds it)."""
+        self._in_targets = None

@@ -151,10 +151,6 @@ def _add_ops(rec, per_worker: np.ndarray) -> None:
             ops[w] += int(count)
 
 
-def _subset_ids(subset: VertexSubset) -> np.ndarray:
-    return np.asarray(subset._sorted, dtype=np.int64)
-
-
 def _eval_value(spec: EdgeMapSpec, batch: EdgeBatch) -> np.ndarray:
     if callable(spec.value):
         vals = np.asarray(spec.value(batch))
@@ -250,7 +246,7 @@ class ColumnarKernels:
         rec = fw._current
         if fw.tracer.enabled:
             fw.annotate_span(kernel="vertex_map.batch")
-        ids = _subset_ids(subset)
+        ids = subset.as_array()
 
         if F is not None:
             _add_ops(rec, np.bincount(ctx.owners[ids], minlength=ctx.P))
@@ -274,7 +270,7 @@ class ColumnarKernels:
                 updates[name] = column
 
         fw.barrier_columnar(passing, updates, frontier_out=int(len(passing)))
-        return VertexSubset(engine, passing.tolist())
+        return VertexSubset(engine, passing)
 
     # ------------------------------------------------------------------
     # EDGEMAP — push (sparse)
@@ -286,7 +282,7 @@ class ColumnarKernels:
         rec = fw._current
         if fw.tracer.enabled:
             fw.annotate_span(kernel=f"edge_map.scatter[{spec.kind}:{spec.reduce}]")
-        U = _subset_ids(subset)
+        U = subset.as_array()
         owners, P = ctx.owners, ctx.P
         col = state.array(spec.prop)
 
@@ -345,7 +341,7 @@ class ColumnarKernels:
             reduce_pairs=(pairs // P, pairs % P),
             frontier_out=int(len(out_ids)),
         )
-        return VertexSubset(engine, out_ids.tolist())
+        return VertexSubset(engine, out_ids)
 
     # ------------------------------------------------------------------
     # EDGEMAP — pull (dense)
@@ -356,7 +352,7 @@ class ColumnarKernels:
         state = fw.state
         if fw.tracer.enabled:
             fw.annotate_span(kernel=f"edge_map.segment[{spec.kind}:{spec.reduce}]")
-        U = _subset_ids(subset)
+        U = subset.as_array()
 
         # the per-target C, as a mask the source applies while selecting
         eligible = None
@@ -385,7 +381,7 @@ class ColumnarKernels:
         fw.barrier_columnar(
             applied, {spec.prop: column}, frontier_out=int(len(applied))
         )
-        return VertexSubset(engine, applied.tolist())
+        return VertexSubset(engine, applied)
 
 
 def _dense_full(ctx, state, spec, batches: Iterable[EdgeBatch], cmask):

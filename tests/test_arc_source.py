@@ -142,3 +142,51 @@ def test_push_batch_has_no_scan_position():
         assert batch.src.tolist() == [1, 1] and batch.dst.tolist() == [0, 2]
         with pytest.raises(TypeError):
             batch.pos
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.integers(1, 7))
+def test_resident_pull_slices_concatenate_to_the_whole_pull(case, batch_arcs):
+    """``ResidentArcs.pull`` streams the in-CSR in bounded slices (so a
+    superstep's temporaries are O(batch), not O(|arcs|)); the slices are
+    the one-batch pull cut at multiples of the batch size, nothing more."""
+    from repro.runtime.vectorized import arcs
+
+    graph, _interval, frontier, eligible = case
+    U = np.asarray(frontier, dtype=np.int64)
+    if eligible is not None:
+        eligible = np.asarray(eligible, dtype=bool)
+    with FlashEngine(graph, num_workers=2, backend="vectorized") as eng:
+        ctx = ColumnarContext(eng)
+        state = eng.flashware.state
+        whole = _drain(ResidentArcs(graph).pull(ctx, state, U, eligible), with_pos=True)
+        default = arcs.PULL_BATCH_ARCS
+        arcs.PULL_BATCH_ARCS = batch_arcs
+        try:
+            batches = list(ResidentArcs(graph).pull(ctx, state, U, eligible))
+            for batch in batches:  # never empty, never across a slice boundary
+                assert len(batch) > 0
+                assert len(set((batch.pos // batch_arcs).tolist())) == 1
+            sliced = _drain(iter(batches), with_pos=True)
+        finally:
+            arcs.PULL_BATCH_ARCS = default
+    for name in ("src", "dst", "pos", "w"):
+        assert np.array_equal(sliced[name], whole[name]), name
+
+
+@pytest.mark.parametrize("app", ["bfs", "cc", "kc", "lpa", "bcc"])
+def test_small_pull_batches_leave_results_and_charges_unchanged(app, monkeypatch):
+    """The dense kernels (full, write-once, gather) fold over however
+    many batches arrive: a batch size far below the graph's arc count
+    must not move a value or a charge."""
+    from repro import random_graph
+    from repro.runtime.vectorized import arcs
+    from repro.suite import prepare_graph, run_app
+
+    graph = prepare_graph(app, random_graph(40, 120, seed=11))
+    oracle = run_app("flash", app, graph, num_workers=3, backend="interp")
+    monkeypatch.setattr(arcs, "PULL_BATCH_ARCS", 7)
+    run = run_app("flash", app, graph, num_workers=3, backend="vectorized")
+    assert run.values == oracle.values
+    assert run.metrics.summary() == oracle.metrics.summary()
+    assert run.metrics.backend_choices.get("vectorized", 0) > 0

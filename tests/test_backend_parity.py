@@ -108,6 +108,50 @@ class TestFullSummaryParity:
 # ---------------------------------------------------------------------------
 # TypedVertexState
 # ---------------------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# The columnar superstep path does no per-vertex Python work
+# ---------------------------------------------------------------------------
+class TestColumnarPathStaysColumnar:
+    """Guards the structures *between* kernels without timing anything:
+    a per-vertex loop reintroduced on this path materialises a set, a
+    list or a mirror frozenset, and fails here instead of in a benchmark."""
+
+    @pytest.mark.parametrize(
+        "fn, kwargs",
+        [(pagerank, {"max_iters": 5}), (bfs, {"root": 0}), (cc_basic, {})],
+        ids=["pagerank", "bfs", "cc_basic"],
+    )
+    def test_no_set_list_or_mirror_set_is_built(self, fn, kwargs, graph):
+        oracle = fn(FlashEngine(graph, num_workers=3, backend="interp"), **kwargs)
+
+        engine = FlashEngine(graph, num_workers=3, backend="vectorized")
+        returned = []
+        superstep = engine._superstep
+
+        def recording(*args, **kw):
+            out = superstep(*args, **kw)
+            returned.append(out)
+            return out
+
+        engine._superstep = recording
+        result = fn(engine, **kwargs)
+
+        # (c) same answer, same charges
+        assert result.values == oracle.values
+        assert engine.metrics.summary() == oracle.engine.metrics.summary()
+        # every superstep ran columnar ...
+        assert engine.metrics.backend_choices == {"vectorized": len(returned)}
+        assert len(returned) > 1
+        # (a) ... and handed back an array-born subset that no later
+        # kernel (or the algorithm driver) turned into a set or a list
+        for subset in returned:
+            assert subset._arr is not None and not subset._arr.flags.writeable
+            assert subset._ids is None and subset._sorted is None
+        # (b) the mirror layout was only ever read as counts
+        assert engine.flashware.partition._mirror_sets == {}
+        assert oracle.engine.flashware.partition._mirror_sets  # interp does ask
+
+
 class TestTypedVertexState:
     def test_dtype_inference(self):
         s = TypedVertexState(4)

@@ -123,6 +123,34 @@ def test_mp_with_recovery_matches_inline():
         assert rec["sync_entries"] == rec["charged_sync_messages"], rec
 
 
+def test_dist_summary_counts_only_its_own_session():
+    """Two engines back to back on the shared pool: each summary's
+    traffic is what the pool moved between that session's open and
+    close, not the pool's lifetime total."""
+    from repro.algorithms import bfs
+    from repro.runtime.distributed import get_pool
+
+    graph = _graph("bfs")
+    pool = get_pool(2)
+    counters = ("bytes_sent", "bytes_recv", "messages_sent", "messages_recv")
+    summaries = []
+    for _ in range(2):
+        before = {name: getattr(pool, name) for name in counters}
+        with FlashEngine(graph, num_workers=2, executor="mp") as engine:
+            bfs(engine, root=0)
+        summary = engine.dist_summary()
+        for name in counters:
+            assert summary[name] == getattr(pool, name) - before[name], name
+        summaries.append(summary)
+    second = summaries[1]
+    assert second["bytes_sent"] < pool.bytes_sent  # the pool total includes run 1
+    # its own supersteps plus the traffic outside them (open, property
+    # set-up, close); an identical run sends the same number of messages
+    step_bytes = sum(rec["bytes_sent"] for rec in second["per_superstep"])
+    assert 0 < step_bytes < second["bytes_sent"]
+    assert second["messages_sent"] == summaries[0]["messages_sent"]
+
+
 # ---------------------------------------------------------------------------
 # Configuration errors: fail fast, mention the fix.
 # ---------------------------------------------------------------------------

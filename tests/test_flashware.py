@@ -1,6 +1,7 @@
 """Tests for the FLASHWARE middleware: superstep lifecycle, barrier
 accounting, critical-property sync and the §IV-C optimizations."""
 
+import numpy as np
 import pytest
 
 from repro import Graph, FlashwareOptions
@@ -128,6 +129,61 @@ class TestCriticalMarking:
         # Vertices 0 and 2 (worker 0) each have one mirror on worker 1.
         assert rec.sync_messages == 2
         assert rec.sync_values == 2
+
+    @pytest.mark.parametrize("kind", ["array", "object"])
+    def test_late_promotion_debt_columnar_twin(self, kind):
+        """The same changes committed through ``barrier_columnar`` then
+        promoted charge what the interp ``barrier`` path charges, and a
+        checkpoint -> restore in between preserves the debt."""
+        # Directed, 2 workers (hash): 0->1 and 2->1 cross partitions, so
+        # 0, 1, 2 each have one mirror; 3->5 stays inside partition 1 and
+        # 4 is isolated — no mirrors.
+        g = Graph.from_edges([(0, 1), (2, 1), (3, 5)], directed=True, num_vertices=6)
+        if kind == "array":
+            default, late = 0, 99
+            changes = {0: 7, 1: 8, 3: 9, 4: 10}
+            expected = (2, 2)  # vertices 0 and 1, one scalar each
+        else:
+            default, late = [], [9, 9]
+            changes = {0: [1], 1: [1, 2, 3], 3: [4, 5], 4: [6]}
+            expected = (2, 1 + 3)  # whole lists ship
+        ids = np.array(sorted(changes), dtype=np.int64)
+        values = [changes[v] for v in ids.tolist()]
+
+        def commit_interp(fw, updates):
+            fw.barrier({v: {"x": val} for v, val in updates.items()})
+
+        def commit_columnar(fw, updates):
+            vids = np.array(sorted(updates), dtype=np.int64)
+            column = [updates[v] for v in vids.tolist()]
+            fw.barrier_columnar(
+                vids, {"x": np.array(column) if kind == "array" else column}
+            )
+
+        charged = []
+        for typed, commit in ((False, commit_interp), (True, commit_columnar)):
+            fw = Flashware(g, num_workers=2, typed_state=typed)
+            fw.state.add_property("x", default)
+            assert isinstance(fw.state.column("x"), np.ndarray) == (
+                typed and kind == "array"
+            )
+            fw.begin_superstep("vertex_map")
+            commit(fw, changes)
+            assert fw.metrics.records[0].sync_messages == 0
+            snapshot = fw.checkpoint()
+            # a later unsynced change (vertex 2 has a mirror) is rolled
+            # back by the restore, debt included
+            fw.begin_superstep("vertex_map")
+            commit(fw, {2: late})
+            fw.restore(snapshot)
+            assert fw.state.get(2, "x") == default
+            fw.begin_superstep("edge_map_dense")
+            fw.mark_critical(["x"])
+            fw.barrier({})
+            rec = fw.metrics.records[-1]
+            charged.append((rec.sync_messages, rec.sync_values))
+            assert [fw.state.get(v, "x") for v in ids.tolist()] == values
+        assert charged == [expected, expected]
 
     def test_fresh_property_no_catchup(self, fw):
         fw.begin_superstep("edge_map_dense")

@@ -1,5 +1,6 @@
 """Tests for edge-cut partitioning and the master/mirror map."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,12 +91,54 @@ class TestStats:
         assert sum(pm.edge_load()) == graph.num_arcs
 
     def test_invalid_owner_array_rejected(self, graph):
-        import numpy as np
-
         with pytest.raises(ValueError):
             PartitionMap(graph, np.zeros(graph.num_vertices + 1, dtype=int), 2)
         with pytest.raises(ValueError):
             PartitionMap(graph, np.full(graph.num_vertices, 5, dtype=int), 2)
+
+
+def _fixture_graph(directed):
+    if not directed:
+        return random_graph(30, 60, seed=1)
+    return Graph.from_edges(random_graph(30, 60, seed=1).edges(), directed=True,
+                            num_vertices=30)
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("strategy", ["hash", "chunk", "degree"])
+class TestBulkMatchesPerElement:
+    """The array formulas against the per-vertex / per-arc loops they
+    replaced (kept here as the reference)."""
+
+    def test_mirror_layout(self, strategy, directed):
+        g = _fixture_graph(directed)
+        pm = partition_graph(g, 4, strategy)
+        owner = pm.owners()
+        expected = []
+        for v in range(g.num_vertices):
+            parts = set(owner[g.out_neighbors(v)].tolist())
+            if g.directed:
+                parts.update(owner[g.in_neighbors(v)].tolist())
+            parts.discard(int(owner[v]))
+            expected.append(frozenset(parts))
+        assert [pm.neighbor_mirrors(v) for v in range(g.num_vertices)] == expected
+        counts = pm.neighbor_mirror_counts()
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [len(m) for m in expected]
+        assert pm.replication_factor() == sum(1 + len(m) for m in expected) / g.num_vertices
+        assert pm.neighbor_mirrors(3) is pm.neighbor_mirrors(3)  # memoised
+
+    def test_edge_load_and_cut_arcs(self, strategy, directed):
+        g = _fixture_graph(directed)
+        pm = partition_graph(g, 4, strategy)
+        owner = pm.owners()
+        load = [0] * 4
+        for v in range(g.num_vertices):
+            load[int(owner[v])] += g.out_degree(v)
+        assert pm.edge_load() == load
+        assert all(type(x) is int for x in pm.edge_load())
+        cut = sum(1 for s, d in g.out_csr.iter_arcs() if owner[s] != owner[d])
+        assert pm.cut_arcs() == cut and type(pm.cut_arcs()) is int
 
 
 @settings(max_examples=30, deadline=None)
