@@ -8,10 +8,13 @@ streams the graph's arcs from disk.  This module owns the disk format:
   source-ascending within each target — and partitioned into a
   destination-interval × source-interval grid of *blocks* (M-Flash's
   layout, applied to the pull direction our dense kernels scan);
-* each non-empty block is persisted as plain ``.npy`` shards (``src``,
-  ``dst``, ``pos`` — the arc's global in-CSR position — and ``w`` when
-  the graph is weighted), opened with ``mmap_mode="r"`` so the OS pages
-  arcs in on demand;
+* each non-empty block is persisted as one raw little-endian file
+  ``blocks/b{di}_{si}.blk`` holding ``src | dst | pos | [w]`` back to
+  back (``int64`` ×3 — ``pos`` is the arc's global in-CSR position —
+  and ``float64`` ``w`` when the graph is weighted; the manifest's
+  ``arcs`` gives every offset), mapped read-only with one ``mmap`` so
+  the OS pages arcs in on demand and a column no kernel reads is never
+  faulted in;
 * a JSON ``manifest.json`` records the layout (format version, interval
   size, per-block arc/byte counts) plus a checksum, and the resident
   O(|V|) side arrays (degrees) ride along as ``.npy`` files.
@@ -21,7 +24,7 @@ replays each target's arcs in exact global in-CSR order — the property
 the columnar kernels rely on for bit-identical floating-point folds when
 they read arcs through the block store (see ``docs/out_of_core.md``).
 
-:class:`BlockStore` memory-maps shards under an LRU byte budget;
+:class:`BlockStore` memory-maps blocks under an LRU byte budget;
 :class:`BlockGraph` is a graph-shaped handle over a store for graphs
 that were never resident (built by :func:`build_block_store_streamed`).
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import shutil
 import zlib
@@ -43,7 +47,11 @@ import numpy as np
 PathLike = Union[str, Path]
 
 #: On-disk format version; bump on any incompatible layout change.
-BLOCK_FORMAT_VERSION = 1
+BLOCK_FORMAT_VERSION = 2
+
+#: Column dtypes of a ``.blk`` file: little-endian whatever the host.
+_INT = np.dtype("<i8")
+_FLOAT = np.dtype("<f8")
 
 #: Default memory budget for mapped blocks (bytes) when none is given.
 DEFAULT_BUDGET = 64 * 1024 * 1024
@@ -56,17 +64,6 @@ def default_interval(num_vertices: int) -> int:
     return max(256, math.ceil(max(num_vertices, 1) / 16))
 
 
-def _close_mmap(array: np.ndarray) -> None:
-    """Release the file mapping behind a ``np.load(mmap_mode=...)``
-    array so its descriptor closes now, not at GC time."""
-    mm = getattr(array, "_mmap", None)
-    if mm is not None:
-        try:
-            mm.close()
-        except (BufferError, ValueError):  # still referenced elsewhere
-            pass
-
-
 @dataclass(frozen=True)
 class BlockMeta:
     """Manifest entry for one non-empty block."""
@@ -74,26 +71,31 @@ class BlockMeta:
     di: int  #: destination-interval index
     si: int  #: source-interval index
     arcs: int
-    bytes: int  #: total shard bytes on disk
+    bytes: int  #: file size on disk: ``arcs`` x 8 x (3 | 4 columns)
 
 
 class Block:
-    """One loaded (memory-mapped) block's parallel arc arrays."""
+    """One loaded block: read-only column views over its one mapping."""
 
-    __slots__ = ("meta", "src", "dst", "pos", "w")
+    __slots__ = ("meta", "src", "dst", "pos", "w", "_mm")
 
-    def __init__(self, meta: BlockMeta, src, dst, pos, w=None):
+    def __init__(self, meta: BlockMeta, mm: mmap.mmap, weighted: bool):
+        n = meta.arcs
         self.meta = meta
-        self.src = src
-        self.dst = dst
-        self.pos = pos
-        self.w = w
+        self._mm = mm
+        self.src = np.frombuffer(mm, _INT, n, 0)
+        self.dst = np.frombuffer(mm, _INT, n, 8 * n)
+        self.pos = np.frombuffer(mm, _INT, n, 16 * n)
+        self.w = np.frombuffer(mm, _FLOAT, n, 24 * n) if weighted else None
 
-    def arrays(self) -> List[np.ndarray]:
-        out = [self.src, self.dst, self.pos]
-        if self.w is not None:
-            out.append(self.w)
-        return out
+    def close(self) -> None:
+        """Unmap now (descriptor included), not at GC time.  A column a
+        caller still holds keeps the mapping alive until it lets go."""
+        self.src = self.dst = self.pos = self.w = None
+        try:
+            self._mm.close()
+        except BufferError:
+            pass
 
 
 def _manifest_checksum(core: Dict) -> int:
@@ -103,12 +105,12 @@ def _manifest_checksum(core: Dict) -> int:
     return zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
 
 
-def _block_stem(di: int, si: int) -> str:
-    return f"b{di}_{si}"
+def _block_name(di: int, si: int) -> str:
+    return f"b{di}_{si}.blk"
 
 
 class _BlockWriter:
-    """Shared shard-writing core of the two builders."""
+    """Shared block-writing core of the two builders."""
 
     def __init__(self, directory: Path, weighted: bool):
         self.directory = directory
@@ -119,17 +121,15 @@ class _BlockWriter:
     def write(self, di: int, si: int, src, dst, pos, w=None) -> None:
         if len(src) == 0:
             return
-        stem = self.directory / "blocks" / _block_stem(di, si)
-        arrays = {"src": src, "dst": dst, "pos": pos}
+        columns = [(src, _INT), (dst, _INT), (pos, _INT)]
         if self.weighted:
-            arrays["w"] = w
-        total = 0
-        for name, arr in arrays.items():
-            path = Path(f"{stem}.{name}.npy")
-            np.save(path, np.ascontiguousarray(arr))
-            total += path.stat().st_size
+            columns.append((w, _FLOAT))
+        with open(self.directory / "blocks" / _block_name(di, si), "wb") as f:
+            for arr, dtype in columns:
+                np.ascontiguousarray(arr, dtype=dtype).tofile(f)
+        arcs = int(len(src))
         self.blocks.append(
-            {"di": di, "si": si, "arcs": int(len(src)), "bytes": int(total)}
+            {"di": di, "si": si, "arcs": arcs, "bytes": arcs * 8 * len(columns)}
         )
 
     def finish(
@@ -168,7 +168,7 @@ def build_block_store(
     """Partition ``graph``'s arcs (in-CSR order) into interval×interval
     blocks under ``directory`` and return an opened :class:`BlockStore`.
 
-    Built once per graph; subsequent runs re-open the shards.  The
+    Built once per graph; subsequent runs re-open the block files.  The
     in-CSR covers *every* arc (both directions for undirected graphs),
     so the one layout serves both the pull (dense) and push (sparse)
     kernels.
@@ -313,8 +313,8 @@ def build_block_store_streamed(
 class BlockStore:
     """Memory-mapped access to a built block grid, under a byte budget.
 
-    ``get`` maps a block's shards on first touch and keeps them in an
-    LRU cache; once the summed shard bytes exceed ``budget``, the
+    ``get`` maps a block's file on first touch and keeps it in an
+    LRU cache; once the summed block bytes exceed ``budget``, the
     least-recently-used blocks are unmapped (their descriptors closed),
     so resident block memory — and therefore the page cache the process
     can pin — stays bounded.  A single block larger than the whole
@@ -342,11 +342,16 @@ class BlockStore:
         self.weighted: bool = manifest["weighted"]
         self.interval: int = manifest["interval"]
         self.num_intervals: int = manifest["num_intervals"]
-        self._meta: Dict[Tuple[int, int], BlockMeta] = {
-            (b["di"], b["si"]): BlockMeta(b["di"], b["si"], b["arcs"], b["bytes"])
-            for b in manifest["blocks"]
-        }
+        self._meta: Dict[Tuple[int, int], BlockMeta] = {}
+        #: destination row -> its non-empty blocks, ascending ``si``
+        self._rows: Dict[int, List[BlockMeta]] = {}
+        for b in sorted(manifest["blocks"], key=lambda b: (b["di"], b["si"])):
+            meta = BlockMeta(b["di"], b["si"], b["arcs"], b["bytes"])
+            self._meta[meta.di, meta.si] = meta
+            self._rows.setdefault(meta.di, []).append(meta)
         self.total_bytes: int = sum(m.bytes for m in self._meta.values())
+        self._blocks_dir = os.path.join(self.directory, "blocks", "")
+        self._arc_bytes = 8 * (4 if self.weighted else 3)
         self.budget: int = DEFAULT_BUDGET if budget is None else max(1, int(budget))
         self._cache: "OrderedDict[Tuple[int, int], Block]" = OrderedDict()
         self._mapped_bytes = 0
@@ -364,9 +369,7 @@ class BlockStore:
 
     def row_metas(self, di: int) -> List[BlockMeta]:
         """Non-empty blocks of destination row ``di``, ascending ``si``."""
-        return [
-            m for (d, _s), m in sorted(self._meta.items()) if d == di
-        ]
+        return list(self._rows.get(di, ()))
 
     @property
     def mapped_bytes(self) -> int:
@@ -392,12 +395,7 @@ class BlockStore:
         meta = self._meta.get(key)
         if meta is None:
             raise KeyError(f"no block at {key}")
-        stem = self.directory / "blocks" / _block_stem(di, si)
-        src = np.load(f"{stem}.src.npy", mmap_mode="r")
-        dst = np.load(f"{stem}.dst.npy", mmap_mode="r")
-        pos = np.load(f"{stem}.pos.npy", mmap_mode="r")
-        w = np.load(f"{stem}.w.npy", mmap_mode="r") if self.weighted else None
-        block = Block(meta, src, dst, pos, w)
+        block = Block(meta, self._map(meta), self.weighted)
         self._cache[key] = block
         self._mapped_bytes += meta.bytes
         self.blocks_loaded += 1
@@ -407,16 +405,33 @@ class BlockStore:
             _key, evicted = self._cache.popitem(last=False)
             self._mapped_bytes -= evicted.meta.bytes
             self.blocks_evicted += 1
-            for arr in evicted.arrays():
-                _close_mmap(arr)
+            evicted.close()
         return block, False
+
+    def _map(self, meta: BlockMeta) -> mmap.mmap:
+        """One read-only mapping of the block's file, after checking its
+        size against the manifest; leaves no descriptor open on failure."""
+        path = self._blocks_dir + _block_name(meta.di, meta.si)
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError as exc:
+            raise ValueError(f"{path}: block file is missing") from exc
+        try:
+            size = os.fstat(fd).st_size
+            if not (size == meta.bytes == meta.arcs * self._arc_bytes):
+                raise ValueError(
+                    f"{path}: block file is {size} bytes, manifest expects "
+                    f"{meta.bytes} ({meta.arcs} arcs x {self._arc_bytes})"
+                )
+            return mmap.mmap(fd, size, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
 
     def release(self) -> None:
         """Unmap every cached block (keeps the store usable)."""
-        while self._cache:
-            _key, evicted = self._cache.popitem(last=False)
-            for arr in evicted.arrays():
-                _close_mmap(arr)
+        for block in self._cache.values():
+            block.close()
+        self._cache.clear()
         self._mapped_bytes = 0
 
     def close(self) -> None:

@@ -19,7 +19,7 @@ Backends
     (running on the typed state) within the same run.
 ``oocore``
     Out-of-core block execution: only vertex columns stay resident and
-    edge blocks stream from memory-mapped ``.npy`` shards through the
+    edge blocks stream from memory-mapped block files through the
     same columnar kernels, one batch per block (bit-identical to
     ``vectorized``).
     Kernels without a spec fall back to the interpreted path — over
