@@ -1,13 +1,13 @@
 """The interpreted kernels: Algorithms 1, 5 and 6 as the paper's
-pseudocode reads, one Python call per vertex / per edge.
+pseudocode reads, one Python call per vertex / per edge — the only
+place in ``src/`` that runs F/M/C/R that way.
 
 These loops are the reference semantics every other executor is held
-to (the parity oracle), and the inline engine's non-columnar runner:
-``FlashEngine`` calls the three functions below for every superstep the
-columnar kernels cannot take, through the same interface the
-multi-process session (``DistSession.run_*``) implements — run the user
-functions, return ``(out, updates[, contributors])``, and leave the
-barrier to the engine.
+to (the parity oracle).  ``engine`` is whatever owns the vertices they
+are pointed at: the inline ``FlashEngine`` (every superstep the
+columnar kernels cannot take) or an mp worker's ``WorkerProxy`` over
+its partition — they read ``.graph``, ``.flashware.state`` /
+``.charge_ops`` and ``._owner`` and leave the barrier to the driver.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Any, Dict, Iterable, List, Set, Tuple
 from repro.core.vertex import VertexView, WorkingView
 
 Updates = Dict[int, Dict[str, Any]]
+Temp = Tuple[int, int, Dict[str, Any]]
 
 
 def run_vertex_map(engine, subset, F, M) -> Tuple[List[int], Updates]:
@@ -42,18 +43,21 @@ def run_vertex_map(engine, subset, F, M) -> Tuple[List[int], Updates]:
     return out, updates
 
 
-def run_edge_map_dense(engine, subset, edges, F, M, C) -> Tuple[List[int], Updates]:
-    """The pull kernel (Algorithm 5)."""
-    fw = engine.flashware
+def dense_targets(engine, edges) -> Iterable[int]:
+    """The targets a pull over ``edges`` scans, ascending."""
     candidates = edges.candidate_targets(engine)
     if candidates is None:
-        target_iter: Iterable[int] = range(engine.graph.num_vertices)
-    else:
-        target_iter = sorted({int(v) for v in candidates})
+        return range(engine.graph.num_vertices)
+    return sorted({int(v) for v in candidates})
 
+
+def run_edge_map_dense(engine, subset, edges, F, M, C, targets=None):
+    """The pull kernel (Algorithm 5) over ``targets`` — all of
+    :func:`dense_targets` inline, a worker's share of them under mp."""
+    fw = engine.flashware
     out: List[int] = []
     updates: Updates = {}
-    for vid in target_iter:
+    for vid in dense_targets(engine, edges) if targets is None else targets:
         sources = edges.in_sources(engine, vid)
         if len(sources) == 0:
             continue
@@ -80,14 +84,13 @@ def run_edge_map_dense(engine, subset, edges, F, M, C) -> Tuple[List[int], Updat
     return out, updates
 
 
-def run_edge_map_sparse(
-    engine, subset, edges, F, M, C, R
-) -> Tuple[List[int], Updates, Dict[int, Set[int]]]:
-    """The push kernel (Algorithm 6)."""
+def sparse_map(engine, sources, edges, F, M, C) -> List[Temp]:
+    """Phase A of the push kernel (Algorithm 6): every active source
+    stages a temp ``(target, source, staged)`` per passing arc, in
+    production order."""
     fw = engine.flashware
-    temps: Dict[int, List[Tuple[Dict[str, Any], int]]] = {}
-    out: Set[int] = set()
-    for u in subset:
+    temps: List[Temp] = []
+    for u in sources:
         worker = engine._owner(u)
         src_view = VertexView(engine, u)
         for d in edges.out_targets(engine, u):
@@ -102,21 +105,37 @@ def run_edge_map_sparse(
             if isinstance(result, WorkingView):
                 tgt_view = result
             fw.charge_ops(worker, 1)
-            temps.setdefault(d, []).append((dict(tgt_view.staged), worker))
-            out.add(d)
+            temps.append((d, u, dict(tgt_view.staged)))
+    return temps
 
+
+def sparse_fold(engine, temps: Iterable[Temp], R) -> Updates:
+    """Phase B: fold each target's temps with ``R``, in the order given."""
+    fw = engine.flashware
+    grouped: Dict[int, List[Dict[str, Any]]] = {}
+    for d, _u, staged in temps:
+        grouped.setdefault(d, []).append(staged)
     updates: Updates = {}
-    contributors: Dict[int, Set[int]] = {}
-    for d, temp_list in temps.items():
+    for d, group in grouped.items():
         owner = engine._owner(d)
         acc = WorkingView(engine, d)
-        for temp, part in temp_list:
+        for staged in group:
             fw.charge_ops(owner, 1)
-            temp_view = WorkingView(engine, d, local=dict(temp))
+            temp_view = WorkingView(engine, d, local=dict(staged))
             result = R(temp_view, acc)
             if isinstance(result, WorkingView):
                 acc = result
         if acc.staged:
             updates[d] = dict(acc.staged)
-        contributors[d] = {part for _, part in temp_list}
-    return sorted(out), updates, contributors
+    return updates
+
+
+def run_edge_map_sparse(engine, subset, edges, F, M, C, R):
+    """The push kernel: both phases in one process; a target's
+    contributors are the partitions its temps came from."""
+    temps = sparse_map(engine, subset, edges, F, M, C)
+    owner = engine._owner
+    contributors: Dict[int, Set[int]] = {}
+    for d, u, _staged in temps:
+        contributors.setdefault(d, set()).add(owner(u))
+    return sorted(contributors), sparse_fold(engine, temps, R), contributors

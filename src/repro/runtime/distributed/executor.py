@@ -7,9 +7,10 @@ Architecture (docs/distributed.md has the full picture):
   verbatim — so the *charged* (simulated) metrics of an ``executor="mp"``
   run are identical to the inline run by construction;
 * a persistent :class:`WorkerPool` holds one OS process per partition;
-  the driver offloads each kernel's inner loop (the F/M/C/R user-function
-  evaluations over the vertices a worker masters) and merges the
-  replies;
+  each worker runs :mod:`repro.core.interp` — the loops the inline
+  engine runs — over the vertices it masters, and :class:`DistSession`
+  is only what is specific to having several of them: splitting a
+  superstep's vertices by owner, the transport, and merging the replies;
 * after every barrier the committed changes are distributed as **delta
   batches**: each changed vertex's critical properties go to every other
   worker (charged for the necessary-mirror scope, the rest rides along to
@@ -32,19 +33,18 @@ import os
 import pickle
 import signal as _signal
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.edgeset import BaseEdges, EdgeSet
+from repro.core.interp import Temp, dense_targets
 from repro.errors import DistributedError, FlashUsageError, WorkerCrashError
 from repro.runtime.distributed import shipping
-from repro.runtime.distributed.supervisor import WorkerSupervisor
+from repro.runtime.distributed.supervisor import WorkerSupervisor, reply_timeout
 from repro.runtime.flashware import Flashware
 from repro.runtime.metrics import SuperstepRecord
 from repro.runtime.state import VertexState
-
-
-def _reply_timeout() -> float:
-    return float(os.environ.get("REPRO_MP_TIMEOUT", "120"))
 
 
 class WorkerPool:
@@ -116,10 +116,14 @@ class WorkerPool:
             except Exception:
                 pass
 
-    def _mark_crashed(self, rank: int, op: str, hung: bool = False) -> WorkerCrashError:
+    def _mark_crashed(
+        self, rank: int, op: str, hung_after: Optional[float] = None
+    ) -> WorkerCrashError:
         """Record ``rank`` as dead and build the structured crash error
         (returned, not raised, so callers control chaining).  A hung
-        worker is killed so the pipe state is unambiguous."""
+        worker (silent for ``hung_after`` seconds) is killed so the pipe
+        state is unambiguous."""
+        hung = hung_after is not None
         self._dead_ranks.add(rank)
         proc = self._procs[rank]
         if hung and proc is not None and proc.is_alive():
@@ -127,7 +131,7 @@ class WorkerPool:
             proc.join(timeout=5)
         exitcode = proc.exitcode if proc is not None else None
         if hung:
-            diagnosis = f"stopped responding (timeout {_reply_timeout()}s; killed)"
+            diagnosis = f"stopped responding (timeout {hung_after}s; killed)"
         elif exitcode is not None and exitcode < 0:
             try:
                 sig = _signal.Signals(-exitcode).name
@@ -174,10 +178,10 @@ class WorkerPool:
         if tracer is not None and tracer.enabled:
             tracer.instant("worker.send", "distributed", rank=rank, op=op, bytes=len(blob))
 
-    def _recv(self, rank: int, op: str, tracer=None) -> Any:
+    def _recv(self, rank: int, op: str, tracer, timeout: float) -> Any:
         conn = self._conns[rank]
         proc = self._procs[rank]
-        deadline = time.monotonic() + _reply_timeout()
+        deadline = time.monotonic() + timeout
         wait = 0.02
         while not conn.poll(min(wait, max(deadline - time.monotonic(), 0.0))):
             if not proc.is_alive() and not conn.poll(0):
@@ -186,7 +190,9 @@ class WorkerPool:
                 # catches a final reply racing the process exit.
                 raise self._mark_crashed(rank, op)
             if time.monotonic() >= deadline:
-                raise self._mark_crashed(rank, op, hung=proc.is_alive())
+                raise self._mark_crashed(
+                    rank, op, hung_after=timeout if proc.is_alive() else None
+                )
             wait = min(wait * 2, 0.5)
         try:
             blob = conn.recv_bytes()
@@ -237,8 +243,9 @@ class WorkerPool:
         self, rank: int, op: str, sid: int, payload: Any, tracer=None, heal: bool = True
     ) -> Any:
         """One request/reply round-trip with a single worker."""
+        timeout = reply_timeout()  # before the send: a bad value costs no bytes
         self._send(rank, op, sid, payload, tracer, heal=heal)
-        return self._recv(rank, op, tracer)
+        return self._recv(rank, op, tracer, timeout)
 
     def request_many(
         self, items: Sequence[Tuple[int, str, int, Any]], tracer=None
@@ -248,6 +255,7 @@ class WorkerPool:
         including when a worker crashes: the surviving workers' pipes
         stay clean, so the pool remains usable after a single-worker
         failure (the recovery layer respawns the dead rank)."""
+        timeout = reply_timeout()  # before the first send, as in request_one
         first_error: Optional[BaseException] = None
         crashed: Set[int] = set()
         sent: List[bool] = []
@@ -270,7 +278,7 @@ class WorkerPool:
                 replies.append(None)
                 continue
             try:
-                replies.append(self._recv(rank, op, tracer))
+                replies.append(self._recv(rank, op, tracer, timeout))
             except WorkerCrashError as exc:
                 crashed.add(rank)
                 replies.append(None)
@@ -390,6 +398,12 @@ _SIDS = itertools.count(1)
 #: ``WorkerPool`` counters a session reports as deltas since it opened.
 _TRAFFIC_COUNTERS = ("bytes_sent", "bytes_recv", "messages_sent", "messages_recv")
 
+#: Real entries counted per superstep (``rec.dist``) and totalled per session.
+_STEP_COUNTERS = (
+    "sync_entries", "extra_entries", "commit_entries", "reduce_entries",
+    "temp_entries", "withheld_entries", "withheld_values",
+)
+
 
 class DistSession:
     """One engine's connection to the pool: kernel offload, commit
@@ -422,13 +436,7 @@ class DistSession:
         self._step: Optional[Dict[str, int]] = None
         self._step_cpu: List[float] = [0.0] * self.nworkers
         self.totals: Dict[str, Any] = {
-            "sync_entries": 0,
-            "extra_entries": 0,
-            "commit_entries": 0,
-            "reduce_entries": 0,
-            "temp_entries": 0,
-            "withheld_entries": 0,
-            "withheld_values": 0,
+            **dict.fromkeys(_STEP_COUNTERS, 0),
             "bootstrap_columns": 0,
             "reshipped_columns": 0,
             "reshipped_values": 0,
@@ -443,19 +451,14 @@ class DistSession:
     def _request_many(self, items):
         return self.pool.request_many(items, self.tracer)
 
-    def _broadcast(self, op: str, payload: Any):
-        return self.pool.broadcast(op, self.sid, payload, self.tracer)
+    def _broadcast(self, op: str, *args: Any):
+        """Call the session method ``op`` with ``args`` on every worker."""
+        return self.pool.broadcast(op, self.sid, args, self.tracer)
 
     # -- step accounting -------------------------------------------------
     def begin_step(self) -> None:
         self._step = {
-            "sync_entries": 0,
-            "extra_entries": 0,
-            "commit_entries": 0,
-            "reduce_entries": 0,
-            "temp_entries": 0,
-            "withheld_entries": 0,
-            "withheld_values": 0,
+            **dict.fromkeys(_STEP_COUNTERS, 0),
             "bytes_sent0": self.pool.bytes_sent,
             "bytes_recv0": self.pool.bytes_recv,
         }
@@ -479,13 +482,7 @@ class DistSession:
             "index": rec.index,
             "kind": rec.kind,
             "label": rec.label,
-            "sync_entries": step["sync_entries"],
-            "extra_entries": step["extra_entries"],
-            "commit_entries": step["commit_entries"],
-            "reduce_entries": step["reduce_entries"],
-            "temp_entries": step["temp_entries"],
-            "withheld_entries": step["withheld_entries"],
-            "withheld_values": step["withheld_values"],
+            **{key: step[key] for key in _STEP_COUNTERS},
             "bytes_sent": self.pool.bytes_sent - step["bytes_sent0"],
             "bytes_recv": self.pool.bytes_recv - step["bytes_recv0"],
             "charged_sync_messages": rec.sync_messages,
@@ -493,9 +490,7 @@ class DistSession:
             "worker_cpu_s": [round(c, 6) for c in cpu],
         }
         rec.dist = stats
-        for key in ("sync_entries", "extra_entries", "commit_entries",
-                    "reduce_entries", "temp_entries", "withheld_entries",
-                    "withheld_values"):
+        for key in _STEP_COUNTERS:
             self.totals[key] += step[key]
         self.totals["worker_cpu_s"] += sum(cpu)
         self.totals["critical_path_s"] += max(cpu) if cpu else 0.0
@@ -519,14 +514,14 @@ class DistSession:
 
     # -- property lifecycle relays ---------------------------------------
     def add_property(self, name: str, spec: Tuple[str, Any]) -> None:
-        self._broadcast("add_property", (name, spec))
+        self._broadcast("add_property", name, spec)
 
     def remove_property(self, name: str) -> None:
         self._broadcast("remove_property", name)
 
     def ship_column(self, name: str, column: Any) -> None:
         self.totals["bootstrap_columns"] += 1
-        self._broadcast("set_column", (name, list(column)))
+        self._broadcast("set_column", name, list(column))
 
     def reship_column(self, name: str, column: Any) -> None:
         """Re-broadcast a full column whose mirror deltas were withheld
@@ -535,7 +530,7 @@ class DistSession:
         column = list(column)
         self.totals["reshipped_columns"] += 1
         self.totals["reshipped_values"] += len(column)
-        self._broadcast("set_column", (name, column))
+        self._broadcast("set_column", name, column)
 
     def mark_critical(self, names: List[str]) -> None:
         self._broadcast("mark_critical", list(names))
@@ -545,14 +540,14 @@ class DistSession:
         self._broadcast("snapshot", tag)
 
     def restore(self, tag: int, properties: List[str]) -> Set[str]:
-        replies = self._broadcast("restore", (tag, list(properties)))
+        replies = self._broadcast("restore", tag, list(properties))
         missing: Set[str] = set()
         for reply in replies:
             missing.update(reply)
         return missing
 
     def reset(self) -> None:
-        self._broadcast("reset", None)
+        self._broadcast("reset")
 
     # -- crash recovery / chaos ------------------------------------------
     def reopen_worker(self, rank: int, tracer=None) -> Tuple[int, int]:
@@ -583,7 +578,7 @@ class DistSession:
         critical = sorted(fw._critical)
         if critical:
             pool.request_one(
-                rank, "mark_critical", self.sid, critical, tracer, heal=False
+                rank, "mark_critical", self.sid, (critical,), tracer, heal=False
             )
         self._slowed.discard(rank)
         self.totals["reshipped_columns"] += columns
@@ -650,138 +645,112 @@ class DistSession:
         for i, n in enumerate(ops):
             rec.worker_ops[i] += n
 
-    def run_vertex_map(self, engine, subset, F, M) -> Tuple[List[int], Dict[int, Dict[str, Any]]]:
-        owners = self.owners
-        by_w: List[List[int]] = [[] for _ in range(self.nworkers)]
-        for vid in subset:
-            by_w[owners[vid]].append(vid)
-        items = []
-        for w in range(self.nworkers):
-            if not by_w[w]:
-                continue
-            payload = shipping.dump_payload({"F": F, "M": M, "vids": by_w[w]})
-            items.append((w, "vertex_map", self.sid, payload))
-        out: List[int] = []
-        updates: Dict[int, Dict[str, Any]] = {}
-        for (w, _op, _sid, _p), reply in zip(items, self._request_many(items)):
-            out.extend(reply["out"])
-            updates.update(reply["updates"])
+    def _offload(
+        self, engine, op: str, shares: List[list], request: Callable[[list], dict]
+    ) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """Run kernel ``op`` on every rank whose share (of vertices or
+        temps) is non-empty: ship ``request(share)``, then yield
+        ``(rank, reply)`` with the reply's ops and CPU seconds merged."""
+        items = [
+            (w, op, self.sid, shipping.dump_payload(request(share)))
+            for w, share in enumerate(shares)
+            if share
+        ]
+        for (w, *_), reply in zip(items, self._request_many(items)):
             self._merge_ops(engine, reply["ops"])
             self._step_add_cpu(w, reply.get("cpu_s"))
+            yield w, reply
+
+    def _offload_map(self, engine, op: str, shares, request):
+        """:meth:`_offload` for the kernels whose replies are disjoint
+        ``out`` / ``updates`` shares (VERTEXMAP, dense)."""
+        out: List[int] = []
+        updates: Dict[int, Dict[str, Any]] = {}
+        for _w, reply in self._offload(engine, op, shares, request):
+            out.extend(reply["out"])
+            updates.update(reply["updates"])
         out.sort()
         return out, updates
+
+    def _by_owner(self, vids: Iterable[int]) -> List[List[int]]:
+        owners = self.owners
+        by_w: List[List[int]] = [[] for _ in range(self.nworkers)]
+        for vid in vids:
+            by_w[owners[vid]].append(vid)
+        return by_w
+
+    @staticmethod
+    def _edge_mode(engine, edges: EdgeSet, neighbors, vids: List[int]) -> Tuple[Any, ...]:
+        """How ``edges`` travels to the worker that walks ``vids``:
+        ``E`` by name (the worker has the CSR), a constructed set as the
+        adjacency ``neighbors`` (its ``in_sources`` or ``out_targets``)
+        enumerates for exactly those vertices."""
+        if type(edges) is BaseEdges:
+            return ("csr",)
+        mat: Dict[int, List[int]] = {}
+        for vid in vids:
+            adjacent = [int(x) for x in neighbors(engine, vid)]
+            if adjacent:
+                mat[vid] = adjacent
+        return ("mat", mat)
+
+    def run_vertex_map(self, engine, subset, F, M) -> Tuple[List[int], Dict[int, Dict[str, Any]]]:
+        return self._offload_map(
+            engine, "vertex_map", self._by_owner(subset),
+            lambda vids: {"F": F, "M": M, "vids": vids},
+        )
 
     def run_edge_map_dense(
         self, engine, subset, edges: EdgeSet, F, M, C
     ) -> Tuple[List[int], Dict[int, Dict[str, Any]]]:
-        owners = self.owners
-        subset_ids = list(subset)
         if type(edges) is BaseEdges:
-            targets_by_w: List[List[int]] = [list(m) for m in self.members]
-            mats: Optional[List[Dict[int, List[int]]]] = None
+            targets_by_w = self.members
         else:
-            candidates = edges.candidate_targets(engine)
-            if candidates is None:
-                tlist: Iterable[int] = range(self.graph.num_vertices)
-            else:
-                tlist = sorted({int(v) for v in candidates})
-            targets_by_w = [[] for _ in range(self.nworkers)]
-            mats = [{} for _ in range(self.nworkers)]
-            for d in tlist:
-                w = owners[d]
-                targets_by_w[w].append(d)
-                srcs = [int(s) for s in edges.in_sources(engine, d)]
-                if srcs:
-                    mats[w][d] = srcs
-        items = []
-        for w in range(self.nworkers):
-            if not targets_by_w[w]:
-                continue
-            payload = shipping.dump_payload(
-                {
-                    "F": F,
-                    "M": M,
-                    "C": C,
-                    "subset": subset_ids,
-                    "targets": targets_by_w[w],
-                    "edge_mode": ("csr",) if mats is None else ("mat", mats[w]),
-                }
-            )
-            items.append((w, "dense", self.sid, payload))
-        out: List[int] = []
-        updates: Dict[int, Dict[str, Any]] = {}
-        for (w, _op, _sid, _p), reply in zip(items, self._request_many(items)):
-            out.extend(reply["out"])
-            updates.update(reply["updates"])
-            self._merge_ops(engine, reply["ops"])
-            self._step_add_cpu(w, reply.get("cpu_s"))
-        out.sort()
-        return out, updates
+            targets_by_w = self._by_owner(dense_targets(engine, edges))
+        shared = {"F": F, "M": M, "C": C, "subset": list(subset)}
+
+        def request(targets: List[int]) -> Dict[str, Any]:
+            mode = self._edge_mode(engine, edges, edges.in_sources, targets)
+            return {**shared, "targets": targets, "edge_mode": mode}
+
+        return self._offload_map(engine, "dense", targets_by_w, request)
 
     def run_edge_map_sparse(
         self, engine, subset, edges: EdgeSet, F, M, C, R
     ) -> Tuple[List[int], Dict[int, Dict[str, Any]], Dict[int, Set[int]]]:
         owners = self.owners
-        by_w: List[List[int]] = [[] for _ in range(self.nworkers)]
-        for u in subset:
-            by_w[owners[u]].append(u)
-        base = type(edges) is BaseEdges
-        items = []
-        for w in range(self.nworkers):
-            if not by_w[w]:
-                continue
-            if base:
-                edge_mode: Tuple[Any, ...] = ("csr",)
-            else:
-                mat: Dict[int, List[int]] = {}
-                for u in by_w[w]:
-                    targets = [int(t) for t in edges.out_targets(engine, u)]
-                    if targets:
-                        mat[u] = targets
-                edge_mode = ("mat", mat)
-            payload = shipping.dump_payload(
-                {"F": F, "M": M, "C": C, "sources": by_w[w], "edge_mode": edge_mode}
-            )
-            items.append((w, "sparse_map", self.sid, payload))
 
-        all_temps: List[Tuple[int, int, int, Dict[str, Any], int]] = []
-        for (w, _op, _sid, _p), reply in zip(items, self._request_many(items)):
-            self._merge_ops(engine, reply["ops"])
-            self._step_add_cpu(w, reply.get("cpu_s"))
-            for d, u, idx, staged in reply["temps"]:
-                all_temps.append((d, u, idx, staged, w))
+        def request(sources: List[int]) -> Dict[str, Any]:
+            mode = self._edge_mode(engine, edges, edges.out_targets, sources)
+            return {"F": F, "M": M, "C": C, "sources": sources, "edge_mode": mode}
 
-        out = sorted({d for d, _u, _i, _s, _w in all_temps})
+        # Route every temp ``(d, u, staged)`` to the master of ``d``.
         contributors: Dict[int, Set[int]] = {}
-        fold_by_w: List[List[Tuple[int, int, int, Dict[str, Any]]]] = [
-            [] for _ in range(self.nworkers)
-        ]
+        fold_by_w: List[List[Temp]] = [[] for _ in range(self.nworkers)]
         temp_entries = 0
-        for d, u, idx, staged, producer in all_temps:
-            contributors.setdefault(d, set()).add(producer)
-            owner = owners[d]
-            if producer != owner:
-                temp_entries += 1
-            fold_by_w[owner].append((d, u, idx, staged))
+        for producer, reply in self._offload(
+            engine, "sparse_map", self._by_owner(subset), request
+        ):
+            for temp in reply["temps"]:
+                d = temp[0]
+                contributors.setdefault(d, set()).add(producer)
+                owner = owners[d]
+                if producer != owner:
+                    temp_entries += 1
+                fold_by_w[owner].append(temp)
 
-        fold_items = []
-        for w in range(self.nworkers):
-            if not fold_by_w[w]:
-                continue
-            payload = shipping.dump_payload({"R": R, "temps": fold_by_w[w]})
-            fold_items.append((w, "sparse_fold", self.sid, payload))
         updates: Dict[int, Dict[str, Any]] = {}
-        for (w, _op, _sid, _p), reply in zip(fold_items, self._request_many(fold_items)):
+        for _w, reply in self._offload(
+            engine, "sparse_fold", fold_by_w, lambda temps: {"R": R, "temps": temps}
+        ):
             updates.update(reply["updates"])
-            self._merge_ops(engine, reply["ops"])
-            self._step_add_cpu(w, reply.get("cpu_s"))
 
         reduce_entries = sum(
             len({p for p in contributors[d] if p != owners[d]}) for d in updates
         )
         self.step_add("temp_entries", temp_entries)
         self.step_add("reduce_entries", reduce_entries)
-        return out, updates, contributors
+        return sorted(contributors), updates, contributors
 
     # -- barrier commit distribution -------------------------------------
     def distribute_commits(

@@ -44,43 +44,39 @@ from __future__ import annotations
 import errno
 import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.errors import WorkerCrashError
+from repro.errors import FlashUsageError, WorkerCrashError
 
 #: errno values treated as transient on a pipe write (retried with
 #: backoff instead of declaring the worker dead).
 _TRANSIENT_ERRNOS = frozenset({errno.EINTR, errno.EAGAIN, errno.EWOULDBLOCK})
 
 
-def _env_int(name: str, default: int) -> int:
+def reply_timeout() -> float:
+    """Seconds a worker gets to answer one request (``REPRO_MP_TIMEOUT``,
+    default 120).  Read per request — tests ``monkeypatch.setenv`` it
+    against a long-lived shared pool — and before anything is sent, so
+    a malformed value is a usage error, never a half-done round-trip."""
+    raw = os.environ.get("REPRO_MP_TIMEOUT", "120")
     try:
-        return int(os.environ.get(name, default))
+        return float(raw)
     except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, default))
-    except ValueError:
-        return default
+        raise FlashUsageError(
+            f"REPRO_MP_TIMEOUT must be a number of seconds, got {raw!r}"
+        ) from None
 
 
 class WorkerSupervisor:
-    """Failure policy for one :class:`WorkerPool`.
+    """Failure policy for one :class:`WorkerPool`."""
 
-    ``max_transient_retries`` bounds the send retries on a transient
-    pipe error; ``backoff_base_s`` seeds the exponential backoff
-    schedule (base, 2·base, 4·base, ...).  Both are env-overridable
-    (``REPRO_MP_RETRIES`` / ``REPRO_MP_BACKOFF``) so chaos tests can pin
-    them.
-    """
+    #: Send retries on a transient pipe error, and the seed of their
+    #: exponential backoff schedule (base, 2·base, 4·base, ...).
+    max_transient_retries = 3
+    backoff_base_s = 0.02
 
     def __init__(self, pool) -> None:
         self.pool = pool
-        self.max_transient_retries = _env_int("REPRO_MP_RETRIES", 3)
-        self.backoff_base_s = _env_float("REPRO_MP_BACKOFF", 0.02)
 
     # -- classification -------------------------------------------------
     def is_transient(self, exc: BaseException) -> bool:
@@ -143,7 +139,7 @@ class WorkerSupervisor:
                 continue
             conn = pool._conns[rank]
             if not conn.poll(timeout):
-                pool._mark_crashed(rank, "heartbeat", hung=True)
+                pool._mark_crashed(rank, "heartbeat", hung_after=timeout)
                 out[rank] = "hung"
                 continue
             try:
@@ -210,8 +206,7 @@ class WorkerSupervisor:
         report the recovery layer charges."""
         pool = self.pool
         if ping:
-            self.heartbeat(timeout=min(1.0, _env_float("REPRO_MP_TIMEOUT", 120.0)),
-                           tracer=tracer)
+            self.heartbeat(timeout=min(1.0, reply_timeout()), tracer=tracer)
         report: Dict[str, Any] = {
             "respawned": [],
             "wall_s": 0.0,

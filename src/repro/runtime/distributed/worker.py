@@ -11,26 +11,31 @@ Each worker holds:
   entries may be stale, which :class:`GuardedState` turns into a loud
   :class:`~repro.errors.StaleReadError` instead of a silent wrong answer;
 * an **engine proxy** exposing exactly the surface kernels touch
-  (``.graph``, ``.flashware.state``, ``.get``, ``.charge``) so the
-  unmodified :class:`~repro.core.vertex.VertexView`/``WorkingView``
-  machinery works against worker-local state.
+  (``.graph``, ``.flashware.state`` / ``.charge_ops``, ``._owner``,
+  ``.get``, ``.charge``) so the unmodified interpreter and
+  :class:`~repro.core.vertex.VertexView`/``WorkingView`` machinery work
+  against worker-local state.
 
 The protocol is strict request/reply over one duplex pipe: the parent
 sends ``(op, session_id, payload)``; the worker replies ``("ok", result)``
-or ``("err", type_name, pickled_exc_or_None, traceback_text)``.  Kernel
-requests replicate the engine's interpreted inner loops exactly —
-including charge ordering and early-exit points — so per-worker op counts
-and results are bit-identical to the single-process run.
+or ``("err", type_name, pickled_exc_or_None, traceback_text)``.  A kernel
+request runs :mod:`repro.core.interp` — the loops the inline engine
+runs — over this worker's share of the vertices, so charge order,
+early exits and results are the single-process run's by construction.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core import interp
+from repro.core.edgeset import BaseEdges, EdgeSet
+from repro.core.vertex import VertexView
 from repro.errors import StaleReadError
 from repro.graph.partition import partition_owners
 from repro.runtime.distributed import shipping
@@ -89,12 +94,18 @@ class GuardedState:
 
 
 class _ProxyFlashware:
-    """The ``engine.flashware`` surface vertex views touch."""
+    """The ``engine.flashware`` surface views and the interpreter touch."""
 
-    __slots__ = ("state",)
+    __slots__ = ("state", "ops")
 
-    def __init__(self, state: GuardedState):
+    def __init__(self, state: GuardedState, nworkers: int):
         self.state = state
+        #: Per-owner op counts of the current kernel request (length
+        #: ``nworkers``: user functions may ``engine.charge`` any vertex).
+        self.ops: List[int] = [0] * nworkers
+
+    def charge_ops(self, worker: int, n: int = 1) -> None:
+        self.ops[worker] += n
 
 
 class WorkerProxy:
@@ -103,12 +114,11 @@ class WorkerProxy:
 
     def __init__(self, session: "WorkerSession"):
         self.graph = session.graph
-        self.flashware = _ProxyFlashware(session.guarded)
-        self._session = session
+        self.flashware = _ProxyFlashware(session.guarded, session.nworkers)
+        self.num_workers = session.nworkers
+        self._owner = session.owner.__getitem__
 
     def get(self, vid: int):
-        from repro.core.vertex import VertexView
-
         return VertexView(self, int(vid))
 
     def value(self, vid: int, name: str) -> Any:
@@ -121,12 +131,7 @@ class WorkerProxy:
         return list(column)
 
     def charge(self, vid: int, ops: int) -> None:
-        s = self._session
-        s.ops[int(s.owner[vid])] += ops
-
-    @property
-    def num_workers(self) -> int:
-        return self._session.nworkers
+        self.flashware.charge_ops(self._owner(vid), ops)
 
 
 class WorkerSession:
@@ -146,8 +151,11 @@ class WorkerSession:
         self.nworkers = nworkers
         self.graph = graph
         self.shm = shm  # keep the segment alive while the graph lives
-        self.owner = partition_owners(graph, nworkers, partition_strategy)
-        self.owned: List[int] = np.nonzero(self.owner == rank)[0].tolist()
+        #: Owner rank per vertex, a plain list: the kernels index it per
+        #: vertex and :class:`GuardedState` per remote read.
+        self.owner: List[int] = partition_owners(
+            graph, nworkers, partition_strategy
+        ).tolist()
         self.sync_critical_only = sync_critical_only
         self.state = TypedVertexState(graph.num_vertices)
         self.guarded = GuardedState(self.state, self)
@@ -156,9 +164,6 @@ class WorkerSession:
         self.critical: Set[str] = set()
         #: Properties with driver-side changes this worker never received.
         self.staled: Set[str] = set()
-        #: Per-owner op counts of the current kernel request (length
-        #: ``nworkers``: user functions may ``engine.charge`` any vertex).
-        self.ops: List[int] = [0] * nworkers
         #: Coordinated snapshots of the owned state, keyed by superstep.
         self.snapshots: Dict[int, Dict[str, Any]] = {}
 
@@ -192,7 +197,7 @@ class WorkerSession:
         for name in names:
             self.staled.discard(name)
 
-    def apply_commit(
+    def commit(
         self,
         entries: List[Tuple[int, Dict[str, Any]]],
         staled_props: List[str],
@@ -256,12 +261,6 @@ class WorkerSession:
             self.critical = set(snap["critical"])
         return missing
 
-    def drop_snapshots(self, keep: List[int]) -> None:
-        keep_set = set(keep)
-        for tag in list(self.snapshots):
-            if tag not in keep_set:
-                del self.snapshots[tag]
-
     def reset(self) -> None:
         """Fresh logical run (recovery re-execution): new empty state,
         cleared analysis sets.  Snapshots are *kept* — the replay restores
@@ -274,152 +273,55 @@ class WorkerSession:
 
 
 # ---------------------------------------------------------------------------
-# Kernel execution (replicating the engine's interpreted loops exactly)
+# Kernel execution: core/interp.py over this worker's partition
 # ---------------------------------------------------------------------------
-def _run_vertex_map(session: WorkerSession, payload: bytes) -> Dict[str, Any]:
-    from repro.core.vertex import WorkingView
+class _ShippedEdges(EdgeSet):
+    """A constructed edge set as the driver materialized it for this
+    worker: ``{vertex: neighbours}`` in the direction the kernel walks."""
 
-    req = shipping.load_payload(payload, session)
-    F, M, vids = req["F"], req["M"], req["vids"]
-    engine = session.proxy
-    session.ops = [0] * session.nworkers
-    charge = session.proxy.charge
-    out: List[int] = []
-    updates: Dict[int, Dict[str, Any]] = {}
-    for vid in vids:
-        view = WorkingView(engine, vid)
-        if F is not None:
-            charge(vid, 1)
-            if not F(view):
-                continue
-        if M is not None:
-            charge(vid, 1)
-            result = M(view)
-            if isinstance(result, WorkingView):
-                view = result
-        out.append(vid)
-        if view.staged:
-            updates[vid] = dict(view.staged)
-    return {"out": out, "updates": updates, "ops": list(session.ops)}
+    def __init__(self, adjacency: Dict[int, List[int]]):
+        self._adjacency = adjacency
+
+    def out_targets(self, engine, s: int) -> Sequence[int]:
+        return self._adjacency.get(s, ())
+
+    in_sources = out_targets
 
 
-def _dense_sources(session: WorkerSession, edge_mode, vid: int):
-    if edge_mode[0] == "csr":
-        return session.graph.in_neighbors(vid)
-    return edge_mode[1].get(vid, ())
+def _edges(edge_mode: Tuple[Any, ...]) -> EdgeSet:
+    return BaseEdges() if edge_mode[0] == "csr" else _ShippedEdges(edge_mode[1])
 
 
-def _run_dense(session: WorkerSession, payload: bytes) -> Dict[str, Any]:
-    from repro.core.vertex import VertexView, WorkingView
-
-    req = shipping.load_payload(payload, session)
-    F, M, C = req["F"], req["M"], req["C"]
-    subset: Set[int] = set(req["subset"])
-    targets: List[int] = req["targets"]
-    edge_mode = req["edge_mode"]
-    engine = session.proxy
-    session.ops = [0] * session.nworkers
-    charge = session.proxy.charge
-    out: List[int] = []
-    updates: Dict[int, Dict[str, Any]] = {}
-    for vid in targets:
-        sources = _dense_sources(session, edge_mode, vid)
-        if len(sources) == 0:
-            continue
-        view = WorkingView(engine, vid)
-        applied = False
-        for src in sources:
-            src = int(src)
-            charge(vid, 1)
-            if C is not None and not C(view):
-                break
-            if src not in subset:
-                continue
-            src_view = VertexView(engine, src)
-            if F is None or F(src_view, view):
-                result = M(src_view, view)
-                if isinstance(result, WorkingView):
-                    view = result
-                applied = True
-        if applied:
-            out.append(vid)
-            if view.staged:
-                updates[vid] = dict(view.staged)
-    return {"out": out, "updates": updates, "ops": list(session.ops)}
+def _run_vertex_map(proxy: WorkerProxy, req: Dict[str, Any]) -> Dict[str, Any]:
+    out, updates = interp.run_vertex_map(proxy, req["vids"], req["F"], req["M"])
+    return {"out": out, "updates": updates}
 
 
-def _sparse_targets(session: WorkerSession, edge_mode, u: int):
-    if edge_mode[0] == "csr":
-        return session.graph.out_neighbors(u)
-    return edge_mode[1].get(u, ())
+def _run_dense(proxy: WorkerProxy, req: Dict[str, Any]) -> Dict[str, Any]:
+    out, updates = interp.run_edge_map_dense(
+        proxy, set(req["subset"]), _edges(req["edge_mode"]),
+        req["F"], req["M"], req["C"], req["targets"],
+    )
+    return {"out": out, "updates": updates}
 
 
-def _run_sparse_map(session: WorkerSession, payload: bytes) -> Dict[str, Any]:
-    """Phase A of the push kernel: active sources mastered here produce
-    temp values, tagged ``(u, idx)`` so the owner can fold them in the
-    exact order the single-process loop would have."""
-    from repro.core.vertex import VertexView, WorkingView
-
-    req = shipping.load_payload(payload, session)
-    F, M, C = req["F"], req["M"], req["C"]
-    sources: List[int] = req["sources"]
-    edge_mode = req["edge_mode"]
-    engine = session.proxy
-    session.ops = [0] * session.nworkers
-    charge = session.proxy.charge
-    temps: List[Tuple[int, int, int, Dict[str, Any]]] = []  # (d, u, idx, staged)
-    for u in sources:
-        src_view = VertexView(engine, u)
-        idx = 0
-        for d in _sparse_targets(session, edge_mode, u):
-            d = int(d)
-            charge(u, 1)
-            if C is not None and not C(VertexView(engine, d)):
-                continue
-            tgt_view = WorkingView(engine, d)
-            if F is not None and not F(src_view, tgt_view):
-                continue
-            result = M(src_view, tgt_view)
-            if isinstance(result, WorkingView):
-                tgt_view = result
-            charge(u, 1)
-            temps.append((d, u, idx, dict(tgt_view.staged)))
-            idx += 1
-    return {"temps": temps, "ops": list(session.ops)}
+def _run_sparse_map(proxy: WorkerProxy, req: Dict[str, Any]) -> Dict[str, Any]:
+    """Phase A of the push kernel over the active sources mastered here."""
+    temps = interp.sparse_map(
+        proxy, req["sources"], _edges(req["edge_mode"]), req["F"], req["M"], req["C"]
+    )
+    return {"temps": temps}
 
 
-def _run_sparse_fold(session: WorkerSession, payload: bytes) -> Dict[str, Any]:
-    """Phase B of the push kernel: fold routed temps into each owned
-    target with R, in global source order."""
-    from repro.core.vertex import WorkingView
-
-    req = shipping.load_payload(payload, session)
-    R = req["R"]
-    temps: List[Tuple[int, int, int, Dict[str, Any]]] = req["temps"]
-    engine = session.proxy
-    session.ops = [0] * session.nworkers
-    charge = session.proxy.charge
-    grouped: Dict[int, List[Tuple[int, int, Dict[str, Any]]]] = {}
-    for d, u, idx, staged in temps:
-        grouped.setdefault(d, []).append((u, idx, staged))
-    updates: Dict[int, Dict[str, Any]] = {}
-    for d, group in grouped.items():
-        group.sort(key=lambda t: (t[0], t[1]))
-        acc = WorkingView(engine, d)
-        for _u, _idx, staged in group:
-            charge(d, 1)
-            temp_view = WorkingView(engine, d, local=dict(staged))
-            result = R(temp_view, acc)
-            if isinstance(result, WorkingView):
-                acc = result
-        if acc.staged:
-            updates[d] = dict(acc.staged)
-    return {"updates": updates, "ops": list(session.ops)}
+def _run_sparse_fold(proxy: WorkerProxy, req: Dict[str, Any]) -> Dict[str, Any]:
+    """Phase B over the temps routed to the targets mastered here.  They
+    arrive producer by producer; a source's temps all come from its one
+    master in arc order, so a stable sort by source restores the
+    single-process fold order."""
+    req["temps"].sort(key=itemgetter(1))
+    return {"updates": interp.sparse_fold(proxy, req["temps"], req["R"])}
 
 
-# ---------------------------------------------------------------------------
-# Main loop
-# ---------------------------------------------------------------------------
 _KERNELS = {
     "vertex_map": _run_vertex_map,
     "dense": _run_dense,
@@ -428,6 +330,31 @@ _KERNELS = {
 }
 
 
+def _run_kernel(session: WorkerSession, op: str, payload: bytes) -> Dict[str, Any]:
+    """One kernel request: fresh op counts, the interpreter, and the
+    reply stamped with the counts and the CPU seconds (not wall: that
+    excludes time sliced out to other workers, so the driver can
+    reconstruct the parallel critical path even on core-starved hosts)."""
+    cpu0 = time.process_time()
+    proxy = session.proxy
+    ops = proxy.flashware.ops = [0] * session.nworkers
+    result = _KERNELS[op](proxy, shipping.load_payload(payload, session))
+    result["ops"] = ops
+    result["cpu_s"] = time.process_time() - cpu0
+    return result
+
+
+#: Session requests served by the :class:`WorkerSession` method of the
+#: same name, called with the payload tuple as its arguments.
+_SESSION_OPS = (
+    "commit", "add_property", "remove_property", "set_column",
+    "mark_critical", "snapshot", "restore", "reset",
+)
+
+
+# ---------------------------------------------------------------------------
+# Main loop
+# ---------------------------------------------------------------------------
 def worker_main(rank: int, conn) -> None:
     """Entry point of a worker process: serve requests until ``stop``.
 
@@ -492,43 +419,12 @@ def worker_main(rank: int, conn) -> None:
             elif op == "close":
                 sessions.pop(sid, None)
                 result = None
+            elif op in _KERNELS:
+                result = _run_kernel(sessions[sid], op, payload)
+            elif op in _SESSION_OPS:
+                result = getattr(sessions[sid], op)(*payload)
             else:
-                session = sessions[sid]
-                if op in _KERNELS:
-                    # CPU seconds (not wall): excludes time sliced out to
-                    # other workers, so the driver can reconstruct the
-                    # parallel critical path even on core-starved hosts.
-                    cpu0 = time.process_time()
-                    result = _KERNELS[op](session, payload)
-                    result["cpu_s"] = time.process_time() - cpu0
-                elif op == "commit":
-                    session.apply_commit(*payload)
-                    result = None
-                elif op == "add_property":
-                    session.add_property(*payload)
-                    result = None
-                elif op == "remove_property":
-                    session.remove_property(payload)
-                    result = None
-                elif op == "set_column":
-                    session.set_column(*payload)
-                    result = None
-                elif op == "mark_critical":
-                    session.mark_critical(payload)
-                    result = None
-                elif op == "snapshot":
-                    session.snapshot(payload)
-                    result = None
-                elif op == "restore":
-                    result = session.restore(*payload)
-                elif op == "drop_snapshots":
-                    session.drop_snapshots(payload)
-                    result = None
-                elif op == "reset":
-                    session.reset()
-                    result = None
-                else:
-                    raise ValueError(f"unknown worker op {op!r}")
+                raise ValueError(f"unknown worker op {op!r}")
             reply(("ok", result))
         except BaseException as exc:  # noqa: BLE001 - relayed to the driver
             tb = traceback.format_exc()

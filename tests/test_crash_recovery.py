@@ -152,6 +152,26 @@ def test_request_many_drains_survivors_after_crash(pool):
     assert pool.request_one(1, "ping", -1, None) == 1
 
 
+def test_malformed_timeout_is_a_usage_error_and_costs_no_bytes(pool, monkeypatch):
+    """A bad ``REPRO_MP_TIMEOUT`` must be refused before anything is
+    sent: parsed after the send it left the reply in the pipe, and every
+    later request on that rank read its predecessor's answer."""
+    sent = (pool.bytes_sent, pool.messages_sent)
+    monkeypatch.setenv("REPRO_MP_TIMEOUT", "abc")
+    for request in (
+        lambda: pool.request_one(0, "ping", -1, None),
+        lambda: pool.broadcast("ping", -1, None),
+        lambda: pool.supervisor.heal(),
+    ):
+        with pytest.raises(FlashUsageError, match=r"REPRO_MP_TIMEOUT.*'abc'"):
+            request()
+    assert (pool.bytes_sent, pool.messages_sent) == sent
+    # Fix the variable: the same pool answers in step, rank by rank.
+    monkeypatch.setenv("REPRO_MP_TIMEOUT", "30")
+    assert pool.broadcast("ping", -1, None) == [0, 1]
+    assert pool.request_one(1, "ping", -1, None) == 1
+
+
 def test_supervisor_heartbeat_and_heal(pool):
     sup = pool.supervisor
     assert [h["status"] for h in sup.health()] == ["running", "running"]
