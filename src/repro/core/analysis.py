@@ -178,9 +178,10 @@ def _get_staticpass():
 def _apply_static(
     engine, kind: str, label: str, F=None, M=None, C=None, R=None, spec=None
 ):
-    """Run the ahead-of-time pass for one kernel and register its verdict
-    with FLASHWARE.  Returns the classification, or ``None`` when the
-    analyzer itself failed (never breaks execution)."""
+    """Run the ahead-of-time pass for one kernel, register its verdict
+    with FLASHWARE and cross-check ``spec``'s declared access sets against
+    it (diagnostics only).  Returns the classification, or ``None`` when
+    the analyzer itself failed (never breaks execution)."""
     sp = _get_staticpass()
     try:
         classification = sp.analyze_kernel(kind, F=F, M=M, C=C, R=R)
@@ -192,19 +193,22 @@ def _apply_static(
         return None
     fw = engine.flashware
     # Properties the program has not declared (yet) cannot be marked;
-    # the analysis re-applies on the kernel's next superstep, so a
-    # property declared later is picked up then — the same timing the
-    # tracer has (it cannot observe an undeclared property either).
+    # the engine re-applies the verdict on the kernel's next superstep
+    # (from its plan memo), so a property declared later is picked up
+    # then — the same timing the tracer has (it cannot observe an
+    # undeclared property either).
     fw.mark_critical(
         p for p in classification.critical if fw.state.has_property(p)
     )
-    fw.note_analyzed(classification.seen)
     if not classification.complete:
         engine.note_diagnostic(
             f"static analysis incomplete for {kind}:{label or '-'} "
             f"(unresolved roles: {sorted(classification.access.unknown_roles) or 'n/a'}); "
             "sample tracing takes over for this kernel"
         )
+    elif spec is not None:
+        for message in sp.check_spec(kind, spec, classification):
+            engine.note_diagnostic(f"spec mismatch in {kind}: {message}")
     if sp.program.capturing():
         sp.program.record(engine, kind, label, classification, spec=spec)
     return classification
@@ -223,52 +227,53 @@ def _observe_plan(engine, kind: str, label: str, static_res, virtual: bool) -> N
         hook()
 
 
-def validate_spec(engine, kind: str, spec, classification) -> None:
-    """Cross-check a vectorized spec's declared access sets against the
-    static classification (diagnostics only, never changes execution)."""
-    if spec is None or classification is None or not classification.complete:
-        return
-    sp = _get_staticpass()
-    for message in sp.check_spec(kind, spec, classification):
-        engine.note_diagnostic(f"spec mismatch in {kind}: {message}")
+def capturing() -> bool:
+    """Whether a whole-program capture (``repro lint``) is collecting."""
+    return _get_staticpass().program.capturing()
 
 
 # ---------------------------------------------------------------------------
-# Engine entry points (one call per kernel superstep)
+# Engine entry points (one call per kernel plan; see FlashEngine._build_plan)
 # ---------------------------------------------------------------------------
-def analyze_vertex_map(engine, subset: VertexSubset, F, M, label: str = "", spec=None):
-    """Analyze a VERTEXMAP call.  Per Table II, VERTEXMAP accesses are
-    never critical; only ``engine.get`` reads inside the map (found
-    statically, or promoted at runtime) can mark anything.  Returns the
-    static classification when one was computed."""
+def _analyze(engine, kind: str, label: str, spec, virtual: bool, fns, trace):
+    """The static pass first (under the static modes), then — unless its
+    verdict is complete under ``static`` / ``compile`` — the sample
+    ``trace()``, which returns ``(critical, seen)`` or ``None`` when
+    there is nothing to sample.  Returns the static classification when
+    one was computed."""
     mode = engine.analysis
     if mode == "off":
         return None
     static_res = None
     if mode in _STATIC_MODES:
-        static_res = _apply_static(engine, "vertex_map", label, F=F, M=M, spec=spec)
-        _observe_plan(engine, "vertex_map", label, static_res, virtual=False)
-        if (
-            mode in ("static", "compile")
-            and static_res is not None
-            and static_res.complete
-        ):
+        static_res = _apply_static(engine, kind, label, spec=spec, **fns)
+        _observe_plan(engine, kind, label, static_res, virtual=virtual)
+        if mode != "check" and static_res is not None and static_res.complete:
             return static_res
-
-    sample = next(iter(subset), None)
-    if sample is None:
-        return static_res
-    events: List[Event] = []
-    v = TracingView(engine, sample, "self", events)
-    fw = engine.flashware
-    with fw.suppressed_ops():
-        _run_traced(F, (v,))
-        _run_traced(M, (v,))
-    _, seen = classify_events("vertex_map", events)
-    fw.note_analyzed(seen)
-    if mode == "check" and static_res is not None:
-        _cross_check(engine, static_res, set(), seen, label)
+    traced = trace()
+    if traced is not None and mode == "check" and static_res is not None:
+        _cross_check(engine, static_res, *traced, label)
     return static_res
+
+
+def analyze_vertex_map(engine, subset: VertexSubset, F, M, label: str = "", spec=None):
+    """Analyze a VERTEXMAP call.  Per Table II, VERTEXMAP accesses are
+    never critical; only ``engine.get`` reads inside the map (found
+    statically, or promoted at runtime) can mark anything.  Returns the
+    static classification when one was computed."""
+
+    def trace():
+        sample = next(iter(subset), None)
+        if sample is None:
+            return None
+        events: List[Event] = []
+        v = TracingView(engine, sample, "self", events)
+        with engine.flashware.suppressed_ops():
+            _run_traced(F, (v,))
+            _run_traced(M, (v,))
+        return set(), classify_events("vertex_map", events)[1]
+
+    return _analyze(engine, "vertex_map", label, spec, False, {"F": F, "M": M}, trace)
 
 
 def analyze_edge_map(
@@ -286,51 +291,37 @@ def analyze_edge_map(
     """Analyze an EDGEMAP call and mark the critical properties before
     the kernel runs.  Returns the static classification when one was
     computed."""
-    mode = engine.analysis
-    if mode == "off":
-        return None
-    static_res = None
-    if mode in _STATIC_MODES:
-        static_res = _apply_static(engine, kind, label, F=F, M=M, C=C, R=R, spec=spec)
-        _observe_plan(
-            engine, kind, label, static_res, virtual=not edges.within_graph
-        )
-        if (
-            mode in ("static", "compile")
-            and static_res is not None
-            and static_res.complete
-        ):
-            return static_res
 
-    sample = None
-    for u in subset:
-        targets = edges.out_targets(engine, u)
-        if len(targets):
-            sample = (u, int(targets[0]))
-            break
-    if sample is None:
-        # No active edge anywhere in the subset: a role-faithful trace is
-        # impossible.  (The old fallback traced a (first, first) self-loop,
-        # conflating the source and target roles — in a sparse kernel that
-        # promoted source-read properties to critical and over-synced.)
-        return static_res
+    def trace():
+        sample = None
+        for u in subset:
+            targets = edges.out_targets(engine, u)
+            if len(targets):
+                sample = (u, int(targets[0]))
+                break
+        if sample is None:
+            # No active edge anywhere in the subset: a role-faithful trace
+            # is impossible.  (The old fallback traced a (first, first)
+            # self-loop, conflating the source and target roles — in a
+            # sparse kernel that promoted source-read properties to
+            # critical and over-synced.)
+            return None
+        events: List[Event] = []
+        src = TracingView(engine, sample[0], "source", events)
+        dst = TracingView(engine, sample[1], "target", events)
+        tmp = TracingView(engine, sample[1], "target", events)
+        fw = engine.flashware
+        with fw.suppressed_ops():
+            _run_traced(C, (dst,))
+            _run_traced(F, (src, dst))
+            _run_traced(M, (src, dst))
+            _run_traced(R, (tmp, dst))
+        critical, seen = classify_events(kind, events)
+        fw.mark_critical(p for p in critical if fw.state.has_property(p))
+        return critical, seen
 
-    events: List[Event] = []
-    src = TracingView(engine, sample[0], "source", events)
-    dst = TracingView(engine, sample[1], "target", events)
-    tmp = TracingView(engine, sample[1], "target", events)
-    fw = engine.flashware
-    with fw.suppressed_ops():
-        _run_traced(C, (dst,))
-        _run_traced(F, (src, dst))
-        _run_traced(M, (src, dst))
-        _run_traced(R, (tmp, dst))
-    critical, seen = classify_events(kind, events)
-    fw.mark_critical(p for p in critical if fw.state.has_property(p))
-    fw.note_analyzed(seen)
-    if mode == "check" and static_res is not None:
-        _cross_check(engine, static_res, critical, seen, label)
-    return static_res
+    fns = {"F": F, "M": M, "C": C, "R": R}
+    return _analyze(engine, kind, label, spec, not edges.within_graph, fns, trace)
 
 
 def _cross_check(engine, static_res, traced_critical, traced_seen, label) -> None:

@@ -19,17 +19,20 @@ helpers.  Every primitive call is one BSP superstep recorded in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
+from operator import is_
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set,
+)
 
 import numpy as np
 
 from repro.core.analysis import (
     analyze_edge_map,
     analyze_vertex_map,
+    capturing,
     default_analysis,
     default_remote_promotion,
     validate_analysis,
-    validate_spec,
 )
 from repro.core import interp as _interp_loops
 from repro.core.dsu import DSU
@@ -96,6 +99,19 @@ class _RemoteGetView(VertexView):
             if not fw.is_critical(name) and fw.state.has_property(name):
                 fw.mark_critical([name])
         return value
+
+
+class _KernelPlan(NamedTuple):
+    """One kernel's superstep-invariant decisions, made once by the full
+    path (spec resolution, static analysis, spec validation).  ``key`` is
+    what it was built from — F, M, C, R, the hand spec, the edge set's
+    type and ``within_graph`` — compared by identity, never by value."""
+
+    key: tuple
+    spec: Any
+    origin: Optional[str]
+    critical: FrozenSet[str]
+    attribution: Dict[str, str]  # the superstep span's mode and F/M/C/R
 
 
 class FlashEngine:
@@ -215,6 +231,9 @@ class FlashEngine:
         #: disagreements, vectorized-spec access mismatches.
         self.diagnostics: List[str] = []
         self._diagnostic_keys: Set[str] = set()
+        #: The kernel plan memo: one slot per ``(kind, label)`` holding
+        #: the kernel's last reusable plan (see :meth:`_build_plan`).
+        self._plans: Dict[Any, _KernelPlan] = {}
         self._E = BaseEdges()
         self._owner = self.flashware.partition.owner_of
         self._out_degree_cache: Optional[np.ndarray] = None
@@ -315,9 +334,9 @@ class FlashEngine:
         self.flashware.charge_ops(self._owner(vid), ops)
 
     def note_diagnostic(self, message: str) -> None:
-        """Record an analysis diagnostic (deduplicated — kernels re-run
-        their analysis every superstep) and forward it to any active
-        program capture (``repro lint`` collection)."""
+        """Record an analysis diagnostic (deduplicated — a kernel may be
+        analysed again, e.g. under ``trace``/``check``) and forward it to
+        any active program capture (``repro lint`` collection)."""
         if message in self._diagnostic_keys:
             return
         self._diagnostic_keys.add(message)
@@ -383,6 +402,33 @@ class FlashEngine:
         if _plan.capturing():
             _plan.note_engine(self)
 
+    def _build_plan(self, kind, mode, label, subset, edges, fns, key) -> _KernelPlan:
+        """Build a kernel's plan by the full path; memoize it in its
+        ``(kind, label)`` slot when the verdict may stand for the later
+        supersteps — complete and static under ``static`` / ``compile``,
+        outside a program capture (elsewhere the re-run is the point)."""
+        F, M, C, R, hand = key[:5]
+        spec, origin = self._compile_spec(kind, hand, edges, F, M, C, R)
+        if edges is None:
+            verdict = analyze_vertex_map(self, subset, F, M, label=label, spec=spec)
+        else:
+            verdict = analyze_edge_map(
+                self, kind, subset, edges, F, M, C, R, label=label, spec=spec
+            )
+        attribution = {"mode": mode} if mode else {}
+        attribution.update((name, fn_label(fn)) for name, fn in fns.items())
+        plan = _KernelPlan(
+            key, spec, origin, frozenset(verdict.critical if verdict else ()), attribution
+        )
+        if (
+            self.analysis in ("static", "compile")
+            and verdict is not None
+            and verdict.complete
+            and not capturing()
+        ):
+            self._plans[(kind, label)] = plan
+        return plan
+
     # ------------------------------------------------------------------
     # SIZE
     # ------------------------------------------------------------------
@@ -399,7 +445,7 @@ class FlashEngine:
         """Run one superstep — VERTEXMAP (``mode`` and ``edges`` are
         ``None``) or EDGEMAP in ``mode`` ``"dense"`` / ``"sparse"`` over
         the user functions ``fns`` (``{"F": ..., "M": ..., ...}``): open
-        it, attribute it, resolve and validate the spec, then hand it to
+        it, look up the kernel's plan, attribute it, then hand it to
         exactly one runner.  ``columnar(col, spec)`` runs the columnar
         kernels, which commit through ``barrier_columnar`` themselves;
         ``interp(runner)`` runs the user functions on the non-columnar
@@ -407,26 +453,22 @@ class FlashEngine:
         barrier here.  A runner that raises aborts the superstep."""
         fw = self.flashware
         kind = f"edge_map_{mode}" if mode else "vertex_map"
-        F, M, C, R = (fns.get(name) for name in "FMCR")
         fw.begin_superstep(kind, label, frontier_in=subset.size())
+        key = (fns.get("F"), fns.get("M"), fns.get("C"), fns.get("R"), spec,
+               type(edges), getattr(edges, "within_graph", None))
+        plan = self._plans.get((kind, label))
+        if plan is not None and all(map(is_, plan.key, key)) and not capturing():
+            # re-apply the verdict: restore / recovery may have rolled
+            # _critical back, or a critical property been declared since
+            crit = plan.critical
+            if crit and not crit <= fw._critical:
+                fw.mark_critical(p for p in crit if fw.state.has_property(p))
+        else:
+            plan = self._build_plan(kind, mode, label, subset, edges, fns, key)
         if fw.tracer.enabled:
-            attribution = {"primitive": primitive}
-            if mode:
-                attribution["mode"] = mode
-            attribution.update((name, fn_label(fn)) for name, fn in fns.items())
-            fw.annotate_span(**attribution)
-        spec, spec_origin = self._compile_spec(kind, spec, edges, F, M, C, R)
-        if self.auto_analyze and self.analysis != "off":
-            if edges is None:
-                classification = analyze_vertex_map(
-                    self, subset, F, M, label=label, spec=spec
-                )
-            else:
-                classification = analyze_edge_map(
-                    self, kind, subset, edges, F, M, C, R, label=label, spec=spec
-                )
-            if spec is not None:
-                validate_spec(self, kind, spec, classification)
+            fw.annotate_span(primitive=primitive, **plan.attribution)
+        spec = plan.spec
+        F, M, C = key[:3]
         col = self._col
         if spec is None or col is None:
             use_col = False
@@ -434,13 +476,13 @@ class FlashEngine:
             use_col = col.supports_vertex_map(fw.state, spec, F, M)
         else:
             use_col = col.supports_edge_map(fw.state, edges, spec, mode, F, C)
-        self._note_plan(kind, label, spec_origin, spec, use_col)
+        self._note_plan(kind, label, plan.origin, spec, use_col)
         backend = col.name if use_col else "interp"
         self.metrics.note_backend(backend)
         fw.annotate_span(backend=backend)
         try:
             if use_col:
-                if spec_origin == "synthesized":
+                if plan.origin == "synthesized":
                     fw.annotate_span(spec="synthesized")
                 return columnar(col, spec)
             out, updates, *contributors = interp(self._interp)
@@ -658,6 +700,8 @@ class FlashEngine:
         if self._closed:
             return
         self._closed = True
+        # plans hold the user functions, which may close over this engine
+        self._plans.clear()
         if self._col is not None:
             self._col.close()
         if self._dist is not None:

@@ -120,7 +120,6 @@ class Flashware:
         else:
             self.state = VertexState(graph.num_vertices)
         self._critical: Set[str] = set()
-        self._analyzed: Set[str] = set()
         self._current: Optional[SuperstepRecord] = None
         self._ops_suppressed = False
         #: Structured tracing (see :mod:`repro.runtime.tracing`).  The
@@ -604,16 +603,11 @@ class Flashware:
                         )
                     )
 
-    def note_analyzed(self, names: Iterable[str]) -> None:
-        """Record that the analysis has seen these properties (without
-        deciding they are critical)."""
-        self._analyzed.update(names)
-
     # ------------------------------------------------------------------
     # Checkpoint / restore (failure recovery)
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, Any]:
-        """Snapshot the committed vertex state (plus the analysis sets),
+        """Snapshot the committed vertex state (plus the critical set),
         as a consistent cut at a superstep boundary — what a real BSP
         runtime writes for failure recovery.
 
@@ -636,7 +630,6 @@ class Flashware:
                 for name in self.state.property_names
             },
             "critical": set(self._critical),
-            "analyzed": set(self._analyzed),
             "unsynced": {k: v.copy() for k, v in self._unsynced.items()},
             "superstep": self.superstep_seq,
         }
@@ -685,20 +678,18 @@ class Flashware:
             else:
                 live[:] = restored
         self._critical = set(snapshot["critical"])
-        self._analyzed = set(snapshot["analyzed"])
         self._unsynced = {k: v.copy() for k, v in snapshot["unsynced"].items()}
 
     def reset_for_recovery(self) -> None:
         """Reset the logical run state for a recovery re-execution: fresh
         vertex state (the program re-declares its properties as it
-        replays), cleared analysis sets, and the superstep clock back to
+        replays), a cleared critical set, and the superstep clock back to
         zero.  Metrics are *kept* — work spent before the failure was
         really spent and stays charged."""
         if self._current is not None:
             self.abort_superstep()
         self.state = type(self.state)(self.graph.num_vertices)
         self._critical = set()
-        self._analyzed = set()
         self._unsynced = {}
         self.superstep_seq = 0
         self.metrics.set_suppressed(self.in_fast_forward)

@@ -210,7 +210,7 @@ def make_policy(spec: Optional[str], every: Optional[int] = None) -> CheckpointP
 def _serialize_snapshot(snapshot: Dict[str, Any]) -> Tuple[bytes, bytes]:
     """Split a snapshot into ``(npz_bytes, pickle_bytes)``: array columns
     stream through ``np.savez_compressed``; object columns and the
-    analysis sets are pickled.  Factories are process-local callables and
+    critical set are pickled.  Factories are process-local callables and
     are deliberately left out."""
     arrays = {
         name: col
@@ -225,7 +225,6 @@ def _serialize_snapshot(snapshot: Dict[str, Any]) -> Tuple[bytes, bytes]:
         },
         "properties": snapshot.get("properties", list(snapshot["columns"])),
         "critical": snapshot["critical"],
-        "analyzed": snapshot["analyzed"],
         "unsynced": snapshot["unsynced"],
         "superstep": snapshot.get("superstep", 0),
     }
@@ -245,7 +244,6 @@ def _deserialize_snapshot(npz_bytes: bytes, pkl_bytes: bytes) -> Dict[str, Any]:
             "columns": columns,
             "properties": rest["properties"],
             "critical": rest["critical"],
-            "analyzed": rest["analyzed"],
             "unsynced": rest["unsynced"],
             "superstep": rest.get("superstep", 0),
         }
@@ -336,7 +334,7 @@ class MemoryCheckpointStore(CheckpointStore):
 
 class DiskCheckpointStore(CheckpointStore):
     """Snapshots on disk: ``ckpt_<seq>.npz`` (compressed array columns),
-    ``ckpt_<seq>.pkl`` (object columns + analysis sets) and
+    ``ckpt_<seq>.pkl`` (object columns + critical set) and
     ``ckpt_<seq>.json`` (CRC32 checksums + volume)."""
 
     def __init__(self, directory) -> None:

@@ -287,9 +287,9 @@ class ColumnarKernels:
         col = state.array(spec.prop)
 
         # one op per enumerated out-edge (the C evaluation), charged to
-        # the source's owner
-        enumerated = np.bincount(owners[U], weights=ctx.out_degrees[U], minlength=P)
-        _add_ops(rec, enumerated.astype(np.int64))
+        # the source's owner — with the per-batch ops below, after the loop
+        ops = np.bincount(owners[U], weights=ctx.out_degrees[U], minlength=P)
+        ops = ops.astype(np.int64)
 
         # Accumulate compactly, one destination row at a time: memory is
         # O(active arcs of a row), never a |V|-wide accumulator.
@@ -320,12 +320,13 @@ class ColumnarKernels:
                     # one op per M-passing edge (source owner), one per
                     # temp folded by R (target owner)
                     src_parts = owners[srcs]
-                    _add_ops(rec, np.bincount(src_parts, minlength=P))
-                    _add_ops(rec, np.bincount(owners[dsts], minlength=P))
+                    ops += np.bincount(src_parts, minlength=P)
+                    ops += np.bincount(owners[dsts], minlength=P)
                     if len(dsts):
                         kept.append((dsts, vals, src_parts))
                 if kept:
                     rows.append(_fold_row(kept, col, spec.reduce, P))
+        _add_ops(rec, ops)
 
         if rows:
             # rows cover disjoint ascending target ranges, so per-row

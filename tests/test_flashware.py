@@ -60,7 +60,6 @@ class TestLifecycle:
 
 class TestSyncAccounting:
     def test_no_sync_for_noncritical(self, fw):
-        fw.note_analyzed(["x"])
         fw.begin_superstep("vertex_map")
         fw.barrier({1: {"x": 9}})
         rec = fw.metrics.records[0]
