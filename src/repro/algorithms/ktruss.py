@@ -70,7 +70,7 @@ def ktruss(
             fw.begin_superstep("truss:peel", f"k={k}")
             support = _support(eng, alive, nbrs)
             doomed = {e for e, sup in support.items() if sup < k - 2}
-            fw.barrier({}, frontier_out=len(doomed))
+            fw.barrier(frontier_out=len(doomed))
             if not doomed:
                 break
             for e in doomed:

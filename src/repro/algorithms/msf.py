@@ -58,7 +58,7 @@ def msf(
     for worker, edges in local_edges.items():
         local_forests[worker] = _kruskal(n, edges)
         fw.charge_ops(worker, len(edges))
-    fw.barrier({}, None)
+    fw.barrier()
 
     # REDUCE the local forests to one worker (paper line 25), keyed by a
     # vertex each worker masters so the gather is charged correctly.
@@ -73,7 +73,7 @@ def msf(
     rec = fw.begin_superstep("global_kruskal", "msf:global")
     fw.charge_ops(0, len(candidates))
     forest = _kruskal(n, candidates)
-    fw.barrier({}, None)
+    fw.barrier()
 
     total = sum(w for _, _, w in forest)
     return AlgorithmResult(

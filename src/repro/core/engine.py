@@ -175,7 +175,6 @@ class FlashEngine:
                 num_workers,
                 options=options,
                 partition_strategy=partition_strategy,
-                typed_state=backend != "interp",
             )
         self._dist = getattr(self.flashware, "session", None)
         #: The non-columnar runner — the mp session when there is one,
@@ -447,10 +446,11 @@ class FlashEngine:
         the user functions ``fns`` (``{"F": ..., "M": ..., ...}``): open
         it, look up the kernel's plan, attribute it, then hand it to
         exactly one runner.  ``columnar(col, spec)`` runs the columnar
-        kernels, which commit through ``barrier_columnar`` themselves;
+        kernels, which commit through the barrier themselves;
         ``interp(runner)`` runs the user functions on the non-columnar
-        runner and returns ``(out, updates[, contributors])`` for the
-        barrier here.  A runner that raises aborts the superstep."""
+        runner and returns ``(out, updates[, contributors])``, converted
+        here once into the barrier's columns.  A runner that raises
+        aborts the superstep."""
         fw = self.flashware
         kind = f"edge_map_{mode}" if mode else "vertex_map"
         fw.begin_superstep(kind, label, frontier_in=subset.size())
@@ -490,8 +490,7 @@ class FlashEngine:
             fw.abort_superstep()
             raise
         fw.barrier(
-            updates,
-            contributors[0] if contributors else None,
+            *_interp_loops.columns(updates, *contributors),
             broadcast_all=edges is not None and not edges.within_graph,
             frontier_out=len(out),
         )
@@ -650,7 +649,7 @@ class FlashEngine:
             if worker != 0 and count:
                 rec.reduce_messages += 1
                 rec.reduce_values += count
-        fw.barrier({}, None)
+        fw.barrier()
         return gathered
 
     # ------------------------------------------------------------------

@@ -7,17 +7,39 @@ to (the parity oracle).  ``engine`` is whatever owns the vertices they
 are pointed at: the inline ``FlashEngine`` (every superstep the
 columnar kernels cannot take) or an mp worker's ``WorkerProxy`` over
 its partition — they read ``.graph``, ``.flashware.state`` /
-``.charge_ops`` and ``._owner`` and leave the barrier to the driver.
+``.charge_ops`` and ``._owner`` and leave the barrier to the driver,
+which hands their ``{vid: {prop: value}}`` updates to the one columnar
+barrier through :func:`columns`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.vertex import VertexView, WorkingView
+from repro.runtime.flashware import UNSTAGED
 
 Updates = Dict[int, Dict[str, Any]]
 Temp = Tuple[int, int, Dict[str, Any]]
+
+
+def columns(updates: Updates, contributors: Optional[Dict[int, Set[int]]] = None):
+    """The kernels' per-vertex output in the barrier's shape: sorted ids,
+    one list column per staged property (:data:`UNSTAGED` where a vertex
+    staged other properties only) and, in push mode, the ``(target,
+    contributing partition)`` reduce pairs as two parallel lists."""
+    ids = sorted(updates)
+    names = dict.fromkeys(name for props in updates.values() for name in props)
+    cols = {name: [updates[vid].get(name, UNSTAGED) for vid in ids] for name in names}
+    pairs = None
+    if contributors is not None:
+        pairs = (
+            [d for d, parts in contributors.items() for _ in parts],
+            [p for parts in contributors.values() for p in parts],
+        )
+    return np.array(ids, dtype=np.int64), cols, pairs
 
 
 def run_vertex_map(engine, subset, F, M) -> Tuple[List[int], Updates]:

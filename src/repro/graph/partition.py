@@ -82,11 +82,6 @@ class PartitionMap:
         the vectorized barrier charges sync messages from it."""
         return self._neighbor_mirror_counts
 
-    def all_mirrors(self, v: int) -> FrozenSet[int]:
-        """Every remote partition — used when virtual edges force a full
-        broadcast (§IV-C, last paragraph)."""
-        return frozenset(p for p in range(self._num_partitions) if p != self._owner[v])
-
     # ------------------------------------------------------------------
     # Aggregate statistics (used by tests and the cost model)
     # ------------------------------------------------------------------

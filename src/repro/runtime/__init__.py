@@ -4,11 +4,13 @@ The real system runs one MPI process per cluster node; we simulate the
 same topology inside a single Python process.  The pieces:
 
 * :class:`~repro.runtime.cluster.ClusterSpec` — nodes × cores topology;
-* :class:`~repro.runtime.state.VertexState` — current/next property
-  columns with copy-on-write next-state buffers (§IV-A "data layout");
+* :class:`~repro.runtime.state.VertexState` — the one current-state
+  column store every engine holds: NumPy arrays for scalar properties,
+  Python lists for the rest (§IV-A "data layout");
 * :class:`~repro.runtime.flashware.Flashware` — ``get`` / ``put`` /
-  ``barrier`` plus mirror synchronization and the runtime optimizations
-  (critical-property-only sync, necessary-mirror-only communication);
+  the one columnar ``barrier`` plus mirror synchronization and the
+  runtime optimizations (critical-property-only sync,
+  necessary-mirror-only communication);
 * :class:`~repro.runtime.metrics.Metrics` — per-superstep accounting of
   compute work and message traffic;
 * :class:`~repro.runtime.costmodel.CostModel` — converts metrics into

@@ -3,18 +3,21 @@
 Architecture (docs/distributed.md has the full picture):
 
 * the **driver** (parent process) runs the algorithm program, holds the
-  authoritative vertex state and executes ``Flashware.barrier()``
-  verbatim — so the *charged* (simulated) metrics of an ``executor="mp"``
-  run are identical to the inline run by construction;
+  authoritative vertex state — the same typed column store every engine
+  holds — and commits through the one ``Flashware.barrier()`` — so the
+  *charged* (simulated) metrics of an ``executor="mp"`` run are identical
+  to the inline run by construction;
 * a persistent :class:`WorkerPool` holds one OS process per partition;
   each worker runs :mod:`repro.core.interp` — the loops the inline
   engine runs — over the vertices it masters, and :class:`DistSession`
   is only what is specific to having several of them: splitting a
   superstep's vertices by owner, the transport, and merging the replies;
-* after every barrier the committed changes are distributed as **delta
+* after every barrier its columnar commit is distributed as **delta
   batches**: each changed vertex's critical properties go to every other
   worker (charged for the necessary-mirror scope, the rest rides along to
   serve beyond-neighborhood reads), and the owner gets the full change.
+  Columns cross the pipe as they are stored (arrays or lists), so
+  workers read the same Python scalars the driver does.
   Real message/entry counts are attached to each
   :class:`~repro.runtime.metrics.SuperstepRecord` as ``rec.dist`` so
   tests can hold them against the simulated charges.
@@ -36,6 +39,8 @@ import time
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
+
+import numpy as np
 
 from repro.core.edgeset import BaseEdges, EdgeSet
 from repro.core.interp import Temp, dense_targets
@@ -521,13 +526,12 @@ class DistSession:
 
     def ship_column(self, name: str, column: Any) -> None:
         self.totals["bootstrap_columns"] += 1
-        self._broadcast("set_column", name, list(column))
+        self._broadcast("set_column", name, column)
 
     def reship_column(self, name: str, column: Any) -> None:
         """Re-broadcast a full column whose mirror deltas were withheld
         under a communication plan that has since widened — every
         worker's copy becomes fresh again before the next kernel runs."""
-        column = list(column)
         self.totals["reshipped_columns"] += 1
         self.totals["reshipped_values"] += len(column)
         self._broadcast("set_column", name, column)
@@ -569,7 +573,7 @@ class DistSession:
         values = 0
         columns = 0
         for name in list(fw.state.property_names):
-            column = list(fw.state.column(name))
+            column = fw.state.column(name)
             pool.request_one(
                 rank, "set_column", self.sid, (name, column), tracer, heal=False
             )
@@ -755,74 +759,70 @@ class DistSession:
     # -- barrier commit distribution -------------------------------------
     def distribute_commits(
         self,
-        commits: List[Tuple[int, Dict[str, Any], List[str]]],
+        ids: np.ndarray,
+        updates: Dict[str, Any],
+        changed: Dict[str, np.ndarray],
         broadcast_all: bool,
     ) -> None:
+        """Ship one barrier's columnar commit as per-worker batches of
+        ``(vid, {prop: value})`` entries: a changed vertex's owner gets
+        every changed property, the other workers its synced ones —
+        charged where the ``(|V|, P)`` necessary-mirror mask (or, under
+        ``broadcast_all``, every partition) scopes the sync, riding along
+        elsewhere to serve beyond-neighborhood reads."""
         fw = self.fw
-        owners = self.owners
-        critical = fw._critical
         sco = fw.options.sync_critical_only
         nmo = fw.options.necessary_mirrors_only
+        names = [name for name, mask in changed.items() if mask.any()]
+        if not names:
+            return
+        synced = {n for n in names if not sco or n in fw._critical}
+        staled = sorted(n for n in names if sco and n not in fw._critical)
         # The compile-mode communication plan: deltas of properties it
         # proved "neighbor"-scoped may be withheld from workers outside
         # the vertex's neighbor-mirror set (they hold a mirror no kernel
         # can read through a graph arc).  Only engaged when the plan is
         # active and the accounting options make the scope meaningful.
         plan = getattr(fw, "comm_plan", None)
-        if plan is not None and not (plan.active and sco and nmo):
-            plan = None
-        per_worker: List[List[Tuple[int, Dict[str, Any]]]] = [
-            [] for _ in range(self.nworkers)
-        ]
-        staled: Set[str] = set()
-        for vid, changed, sync_props in commits:
-            owner = int(owners[vid])
-            if broadcast_all or not nmo:
-                scope = fw.partition.all_mirrors(vid)
-            else:
-                scope = fw.partition.neighbor_mirrors(vid)
-            if sco:
-                remote_payload = {n: v for n, v in changed.items() if n in critical}
-                for name in changed:
-                    if name not in critical:
-                        staled.add(name)
-            else:
-                remote_payload = changed
-            narrow: List[str] = []
-            if plan is not None and not broadcast_all and remote_payload:
-                narrow = [
-                    n for n in remote_payload if plan.scope_of(n) == "neighbor"
-                ]
-            has_sync = bool(sync_props)
-            for w in range(self.nworkers):
-                if w == owner:
-                    per_worker[w].append((vid, changed))
-                    self.step_add("commit_entries", 1)
-                elif remote_payload:
-                    payload = remote_payload
-                    if narrow and w not in scope:
-                        payload = {
-                            n: v for n, v in remote_payload.items()
-                            if n not in narrow
-                        }
-                        self.step_add(
-                            "withheld_values",
-                            len(remote_payload) - len(payload),
-                        )
-                        fw.note_withheld(narrow)
-                        if not payload:
-                            self.step_add("withheld_entries", 1)
-                            continue
-                    per_worker[w].append((vid, payload))
-                    if has_sync and w in scope:
-                        self.step_add("sync_entries", 1)
-                    else:
-                        self.step_add("extra_entries", 1)
-        staled_list = sorted(staled)
+        narrow: Set[str] = set()
+        if plan is not None and plan.active and sco and nmo and not broadcast_all:
+            narrow = {n for n in synced if plan.scope_of(n) == "neighbor"}
+
+        # one row per changed vertex, with the payloads a worker may get
+        # for it: the owner's, a mirror's, and a mirror's out of scope
+        rows = np.flatnonzero(np.logical_or.reduce([changed[n] for n in names]))
+        vids = ids[rows]
+        values = {n: col if isinstance(col, list) else col.tolist()
+                  for n, col in updates.items() if n in names}
+        full = [{n: values[n][i] for n in names if changed[n][i]} for i in rows.tolist()]
+        remote = [{n: v for n, v in props.items() if n in synced} for props in full]
+        kept = [{n: v for n, v in props.items() if n not in narrow} for props in remote]
+        has_remote = np.array([bool(props) for props in remote], dtype=bool)
+        has_kept = np.array([bool(props) for props in kept], dtype=bool)
+        withheld = np.array([len(r) - len(k) for r, k in zip(remote, kept)], dtype=np.int64)
+        owners = self.owners[vids]
+        if broadcast_all or not nmo:
+            scope = np.ones((len(rows), self.nworkers), dtype=bool)
+        else:
+            scope = fw.partition._mirror_mask[vids]
         items = []
         for w in range(self.nworkers):
-            if per_worker[w] or staled_list:
-                items.append((w, "commit", self.sid, (per_worker[w], staled_list)))
+            own = owners == w
+            in_scope = has_remote & ~own & scope[:, w]
+            out_scope = has_remote & ~own & ~scope[:, w]
+            entries = [
+                (int(vids[k]), full[k] if own[k] else remote[k] if in_scope[k] else kept[k])
+                for k in np.flatnonzero(own | in_scope | (out_scope & has_kept)).tolist()
+            ]
+            self.step_add("commit_entries", int(own.sum()))
+            self.step_add("sync_entries", int(in_scope.sum()))
+            self.step_add("extra_entries", int((out_scope & has_kept).sum()))
+            self.step_add("withheld_entries", int((out_scope & ~has_kept).sum()))
+            self.step_add("withheld_values", int(withheld[out_scope].sum()))
+            for k in np.flatnonzero(out_scope & (withheld > 0)).tolist():
+                fw.note_withheld(remote[k].keys() - kept[k].keys())
+            if entries or staled:
+                items.append((w, "commit", self.sid, (entries, staled)))
         self._request_many(items)
 
 
@@ -853,7 +853,7 @@ class NotifyingVertexState(VertexState):
             pickle.dumps(factory)
         except Exception:
             # process-local callable: ship the materialized column instead
-            s.add_property(name, ("column", list(self.column(name))))
+            s.add_property(name, ("column", self.column(name)))
         else:
             s.add_property(name, ("factory", factory))
 
@@ -875,8 +875,6 @@ class DistributedFlashware(Flashware):
     the physical side: kernel offload sessions, commit distribution,
     critical-promotion bootstrap, and coordinated checkpoints."""
 
-    _needs_commit_log = True
-
     def __init__(
         self,
         graph,
@@ -889,7 +887,6 @@ class DistributedFlashware(Flashware):
             num_workers,
             options=options,
             partition_strategy=partition_strategy,
-            typed_state=False,
         )
         self.session: Optional[DistSession] = None
         session = DistSession(get_pool(num_workers), self, partition_strategy)
@@ -911,12 +908,12 @@ class DistributedFlashware(Flashware):
             self.session.begin_step()
         return rec
 
-    def _after_commit_updates(self, commits, broadcast_all, rec) -> None:
+    def _after_commit(self, ids, updates, changed, broadcast_all, rec) -> None:
         session = self.session
         if session is None:
             return
         try:
-            session.distribute_commits(commits, broadcast_all)
+            session.distribute_commits(ids, updates, changed, broadcast_all)
         except BaseException:
             # A crash inside the physical barrier (e.g. a SIGKILLed
             # worker surfacing during commit distribution) must leave the
@@ -944,12 +941,6 @@ class DistributedFlashware(Flashware):
             return {"respawned": [], "wall_s": 0.0, "bytes": 0, "values": 0,
                     "columns": 0}
         return session.pool.supervisor.heal(self.tracer)
-
-    def barrier_columnar(self, *args, **kwargs):
-        raise RuntimeError(
-            "the distributed executor runs interpreted kernels only; "
-            "barrier_columnar must not be reached"
-        )
 
     def mark_critical(self, names: Iterable[str]) -> None:
         names = list(names)

@@ -5,7 +5,7 @@ Each worker holds:
 * the **shared graph** — mapped from the parent's shared-memory segment
   (or unpickled on platforms without shared memory);
 * a **full-width columnar vertex state**
-  (:class:`~repro.runtime.vectorized.state.TypedVertexState`): the worker
+  (:class:`~repro.runtime.state.VertexState`, as on the driver): the worker
   is authoritative for the vertices it masters plus every *critical*
   property of every vertex (kept fresh by the mirror-sync deltas); other
   entries may be stale, which :class:`GuardedState` turns into a loud
@@ -40,7 +40,6 @@ from repro.errors import StaleReadError
 from repro.graph.partition import partition_owners
 from repro.runtime.distributed import shipping
 from repro.runtime.state import VertexState
-from repro.runtime.vectorized.state import TypedVertexState
 
 
 class GuardedState:
@@ -157,7 +156,7 @@ class WorkerSession:
             graph, nworkers, partition_strategy
         ).tolist()
         self.sync_critical_only = sync_critical_only
-        self.state = TypedVertexState(graph.num_vertices)
+        self.state = VertexState(graph.num_vertices)
         self.guarded = GuardedState(self.state, self)
         self.proxy = WorkerProxy(self)
         #: Properties critical on the driver (mirror-synced every barrier).
@@ -175,8 +174,7 @@ class WorkerSession:
         elif kind == "factory":
             self.state.add_property(name, factory=value)
         else:  # ("column", materialized full column)
-            self.state.add_property(name)
-            self.state.install_column(name, list(value))
+            self.set_column(name, value)
         self.staled.discard(name)
 
     def remove_property(self, name: str) -> None:
@@ -184,12 +182,15 @@ class WorkerSession:
         self.critical.discard(name)
         self.staled.discard(name)
 
-    def set_column(self, name: str, column: List[Any]) -> None:
+    def set_column(self, name: str, column: Any) -> None:
         """Install a full authoritative column (reset, critical-promotion
-        bootstrap, restore fill-in) — clears any staleness."""
+        bootstrap, restore fill-in) in the driver's representation — an
+        array or a list — and clear any staleness."""
         if not self.state.has_property(name):
             self.state.add_property(name)
-        self.state.install_column(name, list(column))
+        self.state.install_column(
+            name, column.copy() if isinstance(column, np.ndarray) else list(column)
+        )
         self.staled.discard(name)
 
     def mark_critical(self, names: List[str]) -> None:
@@ -265,7 +266,7 @@ class WorkerSession:
         """Fresh logical run (recovery re-execution): new empty state,
         cleared analysis sets.  Snapshots are *kept* — the replay restores
         from them."""
-        self.state = TypedVertexState(self.graph.num_vertices)
+        self.state = VertexState(self.graph.num_vertices)
         self.guarded = GuardedState(self.state, self)
         self.proxy = WorkerProxy(self)
         self.critical = set()

@@ -4,7 +4,9 @@
 Responsibilities reproduced here:
 
 * **current/next state separation** — user functions read the consistent
-  current snapshot; writes are staged and committed at ``barrier()``;
+  current snapshot; writes are staged and committed at ``barrier()`` —
+  one columnar commit (sorted ids, one column per property) that every
+  kernel, interpreted or columnar, inline or mp, ends its superstep with;
 * **master/mirror synchronization accounting** — each committed change to
   a master is charged as messages to its mirrors (the master→mirror
   *sync* round), and each remote contribution in push mode is charged as
@@ -19,7 +21,9 @@ Responsibilities reproduced here:
 
 Because the whole cluster is simulated in-process, property storage is
 physically global; distribution is *accounted*, which is all the paper's
-measurements observe (see DESIGN.md §5).
+measurements observe (see DESIGN.md §5).  The multi-process executor
+receives each barrier's columnar commit through :meth:`Flashware._after_commit`
+and turns it into real delta batches.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import copy
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -48,6 +52,10 @@ _SPAN_NAMES = {
     "edge_map_sparse": "edgemap.push",
     "collect": "collect",
 }
+
+#: Held by an object update column at the vertices that did not stage
+#: that property (a vertex may stage only some of a superstep's writes).
+UNSTAGED: Any = object()
 
 
 def values_equal(a: Any, b: Any) -> bool:
@@ -89,12 +97,6 @@ class FlashwareOptions:
 class Flashware:
     """The middleware instance backing one FLASH (or baseline) program."""
 
-    #: When True, ``barrier`` collects the per-vertex commit log and hands
-    #: it to :meth:`_after_commit_updates` — the hook the distributed
-    #: executor overrides to turn the *charged* mirror sync into real
-    #: inter-process delta batches.  Off (and free) on the base class.
-    _needs_commit_log = False
-
     def __init__(
         self,
         graph: Graph,
@@ -102,7 +104,6 @@ class Flashware:
         options: Optional[FlashwareOptions] = None,
         partition_strategy: str = "hash",
         partition: Optional[PartitionMap] = None,
-        typed_state: bool = False,
     ):
         self.graph = graph
         self.options = options or FlashwareOptions()
@@ -113,12 +114,7 @@ class Flashware:
         else:
             self.partition = partition_graph(graph, num_workers, partition_strategy)
         self.metrics = Metrics(self.partition.num_partitions)
-        if typed_state:
-            from repro.runtime.vectorized.state import TypedVertexState
-
-            self.state: VertexState = TypedVertexState(graph.num_vertices)
-        else:
-            self.state = VertexState(graph.num_vertices)
+        self.state = VertexState(graph.num_vertices)
         self._critical: Set[str] = set()
         self._current: Optional[SuperstepRecord] = None
         self._ops_suppressed = False
@@ -289,33 +285,37 @@ class Flashware:
 
     def barrier(
         self,
-        updates: Dict[int, Dict[str, Any]],
-        contributors: Optional[Dict[int, Set[int]]] = None,
+        ids: Any = (),
+        updates: Optional[Dict[str, Any]] = None,
+        reduce_pairs: Optional[Tuple[Any, Any]] = None,
         broadcast_all: bool = False,
         frontier_out: int = 0,
-    ) -> Set[int]:
+    ) -> None:
         """Commit staged updates, ending the current superstep.
 
         Parameters
         ----------
+        ids:
+            Sorted array of vertex ids with staged updates.
         updates:
-            Final next-state values per vertex (already reduced by the
-            engine when in push mode): ``{vid: {prop: value}}``.
-        contributors:
-            For push-mode supersteps, the partitions that produced temp
-            values per vertex; remote ones are charged as the
-            mirror→master reduce round (one message per remote partition,
-            thanks to mirror-side pre-aggregation).
+            Final next-state values (already reduced in push mode) as
+            ``{prop: column}``, each column parallel to ``ids`` — a NumPy
+            array of scalars, or a list of Python values that may hold
+            :data:`UNSTAGED` where a vertex staged other properties only.
+            A value that does not fit its property's array demotes the
+            column (:meth:`VertexState.set`).
+        reduce_pairs:
+            For push mode, the distinct ``(target, contributing
+            partition)`` pairs as two parallel arrays.  Each remote pair
+            whose target staged something is charged as one message of
+            the mirror→master reduce round (mirror-side pre-aggregation)
+            carrying that target's staged payload.
         broadcast_all:
             True when the superstep used virtual edges outside ``E`` —
             the master must then sync to mirrors in *all* partitions
             (§IV-C last paragraph).
         frontier_out:
             Size of the resulting vertex subset (metrics only).
-
-        Returns
-        -------
-        The set of vertex ids whose state actually changed.
         """
         rec = self._current
         if rec is None:
@@ -326,173 +326,59 @@ class Flashware:
             if self.tracer.enabled
             else None
         )
-        changed_vids: Set[int] = set()
-        contributors = contributors or {}
-        commit_log: list = []
-        debt: Dict[str, list] = {}
-
-        for vid, props in updates.items():
-            changed = {
-                name: value
-                for name, value in props.items()
-                if not values_equal(self.state.get(vid, name), value)
-            }
-            owner = self.partition.owner_of(vid)
-
-            remote_sources = {p for p in contributors.get(vid, ()) if p != owner}
-            if remote_sources:
-                rec.reduce_messages += len(remote_sources)
-                size = sum(payload_size(v) for v in props.values()) or 1
-                rec.reduce_values += len(remote_sources) * size
-
-            if not changed:
-                continue
-            changed_vids.add(vid)
-            for name, value in changed.items():
-                self.state.set(vid, name, value)
-
-            sync_props = [
-                name
-                for name in changed
-                if not self.options.sync_critical_only or name in self._critical
-            ]
-            if self._needs_commit_log:
-                commit_log.append((vid, changed, sync_props))
-            if self.options.sync_critical_only:
-                for name in changed:
-                    if name not in self._critical:
-                        debt.setdefault(name, []).append(vid)
-            if not sync_props:
-                continue
-            if broadcast_all or not self.options.necessary_mirrors_only:
-                mirrors = self.partition.all_mirrors(vid)
-            else:
-                mirrors = self.partition.neighbor_mirrors(vid)
-            if mirrors:
-                rec.sync_messages += len(mirrors)
-                size = sum(payload_size(changed[name]) for name in sync_props)
-                rec.sync_values += len(mirrors) * size
-
-        for name, vids in debt.items():
-            self._record_debt(name, vids)
-        rec.frontier_out = frontier_out
-        if sync_span is not None:
-            sync_span.end(
-                changed=len(changed_vids),
-                sync_messages=rec.sync_messages,
-                sync_values=rec.sync_values,
-                reduce_messages=rec.reduce_messages,
-                reduce_values=rec.reduce_values,
-            )
-        if self._needs_commit_log:
-            self._after_commit_updates(commit_log, broadcast_all, rec)
-        self._finish_commit(rec)
-        return changed_vids
-
-    def _record_debt(self, name: str, vids: Any) -> None:
-        """Note that non-critical ``name`` changed at ``vids`` unsynced."""
-        mask = self._unsynced.get(name)
-        if mask is None:
-            mask = self._unsynced[name] = np.zeros(self.graph.num_vertices, dtype=bool)
-        mask[vids] = True
-
-    def _after_commit_updates(self, commits, broadcast_all: bool, rec: SuperstepRecord) -> None:
-        """Hook called with the commit log just before a superstep's
-        commit is finalized — only when :attr:`_needs_commit_log` is set.
-        The distributed executor overrides this to ship the committed
-        deltas to the worker processes; the base (simulated) runtime has
-        nothing to do."""
-
-    def barrier_columnar(
-        self,
-        ids: Any,
-        updates: Dict[str, Any],
-        reduce_pairs: Optional[Tuple[Any, Any]] = None,
-        broadcast_all: bool = False,
-        frontier_out: int = 0,
-    ) -> None:
-        """Columnar twin of :meth:`barrier` used by the vectorized
-        kernels: same accounting, bulk arrays instead of per-vertex
-        dicts.
-
-        Parameters
-        ----------
-        ids:
-            Sorted array of vertex ids with staged updates.
-        updates:
-            ``{prop: column}`` where each column is parallel to ``ids``
-            — a NumPy array for scalar properties or a Python list for
-            object-valued ones.
-        reduce_pairs:
-            For push mode, the distinct ``(target, contributing
-            partition)`` pairs as two parallel arrays; remote pairs are
-            charged as the mirror→master reduce round exactly as
-            :meth:`barrier` charges ``contributors``.
-        """
-        rec = self._current
-        if rec is None:
-            raise RuntimeError("barrier_columnar() called outside a superstep")
-        self._poll_faults("barrier")
-        sync_span = (
-            self.tracer.start("barrier.sync", "barrier", seq=self.superstep_seq)
-            if self.tracer.enabled
-            else None
-        )
         ids = np.asarray(ids, dtype=np.int64)
+        updates = dict(updates or {})
         n_ids = len(ids)
         state = self.state
         part = self.partition
-        owners = part.owners()
 
-        # ---- pass 1: validate, compute changed masks and payload sizes
-        changed_masks: Dict[str, np.ndarray] = {}
+        # ---- pass 1: changed masks and payload sizes
+        changed: Dict[str, np.ndarray] = {}
         payloads: Dict[str, Optional[np.ndarray]] = {}
         for name, new in updates.items():
             col = state.column(name)
-            if isinstance(col, np.ndarray) and isinstance(new, np.ndarray):
-                if not np.can_cast(new.dtype, col.dtype, casting="same_kind"):
-                    raise RuntimeError(
-                        f"columnar update for {name!r} has dtype {new.dtype} "
-                        f"incompatible with column dtype {col.dtype}"
-                    )
+            if (
+                isinstance(col, np.ndarray)
+                and isinstance(new, np.ndarray)
+                and np.can_cast(new.dtype, col.dtype, casting="same_kind")
+            ):
                 cur = col[ids]
                 mask = cur != new
                 if col.dtype.kind == "f" and new.dtype.kind == "f":
                     # NaN != NaN, but an unchanged NaN is not a change
-                    # (mirror of values_equal on the interp path).
+                    # (values_equal's rule)
                     mask &= ~(np.isnan(cur) & np.isnan(new))
                 payloads[name] = None  # scalar payload == 1
             else:
+                # value by value: objects, unstaged entries and writes
+                # that may not fit the column's dtype
+                if isinstance(new, np.ndarray):
+                    new = updates[name] = new.tolist()
                 mask = np.zeros(n_ids, dtype=bool)
-                pay = np.ones(n_ids, dtype=np.int64)
-                if isinstance(col, np.ndarray):
-                    raise RuntimeError(
-                        f"columnar update for {name!r} is object-valued but "
-                        "the column is an array"
-                    )
-                for i, vid in enumerate(ids.tolist()):
-                    value = new[i]
+                pay = np.zeros(n_ids, dtype=np.int64)
+                for i, (vid, value) in enumerate(zip(ids.tolist(), new)):
+                    if value is UNSTAGED:
+                        continue
                     pay[i] = payload_size(value)
-                    if not values_equal(col[vid], value):
-                        mask[i] = True
+                    mask[i] = not values_equal(state.get(vid, name), value)
                 payloads[name] = pay
-            changed_masks[name] = mask
+            changed[name] = mask
 
-        # ---- reduce round (push mode): charged for every updated vertex
-        # with remote contributors, changed or not (as in barrier())
+        # ---- reduce round (push mode): charged for every staged target
+        # with remote contributors, changed or not
         if reduce_pairs is not None and n_ids:
             ptgt = np.asarray(reduce_pairs[0], dtype=np.int64)
             ppart = np.asarray(reduce_pairs[1], dtype=np.int64)
-            remote = ppart != owners[ptgt]
-            rtgt = ptgt[remote]
-            if len(rtgt):
-                rec.reduce_messages += int(len(rtgt))
+            rtgt = ptgt[ppart != part.owners()[ptgt]]
+            pos = np.searchsorted(ids, rtgt)
+            pos = pos[ids[np.minimum(pos, n_ids - 1)] == rtgt]
+            if len(pos):
+                rec.reduce_messages += int(len(pos))
                 size = np.zeros(n_ids, dtype=np.int64)
-                for name in updates:
-                    pay = payloads[name]
+                for pay in payloads.values():
                     size += pay if pay is not None else 1
                 np.maximum(size, 1, out=size)
-                rec.reduce_values += int(size[np.searchsorted(ids, rtgt)].sum())
+                rec.reduce_values += int(size[pos].sum())
 
         # ---- commit + sync round
         if broadcast_all or not self.options.necessary_mirrors_only:
@@ -505,16 +391,15 @@ class Flashware:
         any_synced = np.zeros(n_ids, dtype=bool)
         sync_values = 0
         for name, new in updates.items():
-            mask = changed_masks[name]
+            mask = changed[name]
             if not mask.any():
                 continue
             changed_ids = ids[mask]
-            col = state.column(name)
-            if isinstance(col, np.ndarray) and isinstance(new, np.ndarray):
-                col[changed_ids] = new[mask]
+            if isinstance(new, np.ndarray):
+                state.column(name)[changed_ids] = new[mask]
             else:
                 for i in np.flatnonzero(mask).tolist():
-                    col[int(ids[i])] = new[i]
+                    state.set(int(ids[i]), name, new[i])
             if not self.options.sync_critical_only or name in self._critical:
                 any_synced |= mask
                 counts = mirror_counts[changed_ids]
@@ -532,13 +417,39 @@ class Flashware:
         rec.frontier_out = frontier_out
         if sync_span is not None:
             sync_span.end(
-                changed=int(sum(m.sum() for m in changed_masks.values())),
+                changed=int(sum(m.sum() for m in changed.values())),
                 sync_messages=rec.sync_messages,
                 sync_values=rec.sync_values,
                 reduce_messages=rec.reduce_messages,
                 reduce_values=rec.reduce_values,
             )
+        self._after_commit(ids, updates, changed, broadcast_all, rec)
         self._finish_commit(rec)
+
+    #: ``perf/workloads.py`` times ``barrier`` and ``barrier_columnar`` by
+    #: name, so the old columnar entry point stays as an alias.
+    barrier_columnar = barrier
+
+    def _record_debt(self, name: str, vids: Any) -> None:
+        """Note that non-critical ``name`` changed at ``vids`` unsynced."""
+        mask = self._unsynced.get(name)
+        if mask is None:
+            mask = self._unsynced[name] = np.zeros(self.graph.num_vertices, dtype=bool)
+        mask[vids] = True
+
+    def _after_commit(
+        self,
+        ids: np.ndarray,
+        updates: Dict[str, Any],
+        changed: Dict[str, np.ndarray],
+        broadcast_all: bool,
+        rec: SuperstepRecord,
+    ) -> None:
+        """Hook called with each barrier's columnar commit — ``changed``
+        masks which of ``ids`` changed per ``updates`` column — just
+        before the superstep is finalized.  The distributed executor
+        overrides it to ship the committed deltas to the worker
+        processes; the base (simulated) runtime has nothing to do."""
 
     def abort_superstep(self) -> None:
         """Close the current superstep without committing — used when a
@@ -662,21 +573,11 @@ class Flashware:
                 self.state.remove_property(name)
         factories = snapshot.get("factories") or {}
         for name, column in snapshot["columns"].items():
-            restored = self._copy_column(column)
-            if not self.state.has_property(name):
-                self.state.install_column(name, restored, factories.get(name))
-                continue
-            live = self.state.column(name)
-            if isinstance(live, np.ndarray) and isinstance(restored, np.ndarray):
-                live[:] = restored
-            elif isinstance(live, list) and isinstance(restored, np.ndarray):
-                # the column was demoted to a list after the checkpoint
-                live[:] = restored.tolist()
-            elif isinstance(live, np.ndarray):
-                for vid in range(len(live)):
-                    live[vid] = restored[vid]
-            else:
-                live[:] = restored
+            # the snapshot's own representation: copying a demoted (list)
+            # snapshot into a live array column would truncate its values
+            self.state.install_column(
+                name, self._copy_column(column), factories.get(name)
+            )
         self._critical = set(snapshot["critical"])
         self._unsynced = {k: v.copy() for k, v in snapshot["unsynced"].items()}
 

@@ -10,13 +10,31 @@ columns; the next-state buffers live in
 
 Properties may hold arbitrary Python values, including variable-length
 collections (sets, lists) — the capability Gemini lacks and that the
-paper leans on for TC/GC/LPA (§V, Appendix B).
+paper leans on for TC/GC/LPA (§V, Appendix B).  Scalar-valued properties
+(bool/int/float defaults) are stored as NumPy arrays, everything else
+(sets, lists, dicts, ``None``-defaulted properties, factory-built
+columns) as plain Python lists.  Two invariants keep the representation
+invisible to programs:
+
+* ``get``/``row`` always return plain Python scalars (``.item()``), never
+  NumPy scalars — user functions and edge-set adaptors (which do
+  ``isinstance(x, int)`` checks) cannot tell the difference.
+* A scalar write that does not fit the column's dtype (a float into an
+  int column, ``inf`` into an int column, an overflowing int, an object)
+  *demotes* the whole column to a Python list and proceeds — semantics
+  degrade gracefully to the object representation instead of raising or
+  silently truncating.
 """
 
 from __future__ import annotations
 
 import copy
 from typing import Any, Callable, Dict, List, Optional
+
+import numpy as np
+
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
 
 
 class ConstantFactory:
@@ -82,12 +100,45 @@ def _default_copier(default: Any) -> Callable[[], Any]:
     return ConstantFactory(default)
 
 
+def _scalar_dtype(value: Any) -> Optional[np.dtype]:
+    """The NumPy dtype a column initialized with ``value`` should use, or
+    ``None`` when the value needs an object column."""
+    if isinstance(value, bool):
+        return np.dtype(np.bool_)
+    if isinstance(value, int):
+        if _INT64_MIN <= value <= _INT64_MAX:
+            return np.dtype(np.int64)
+        return None
+    if isinstance(value, float):
+        return np.dtype(np.float64)
+    return None
+
+
+def _fits(value: Any, kind: str) -> bool:
+    """Whether a Python scalar can be stored losslessly in a column of
+    dtype kind ``kind`` ('b' bool, 'i' int64, 'f' float64)."""
+    if isinstance(value, (float, np.floating)):
+        return kind == "f"
+    if isinstance(value, (bool, np.bool_)):
+        return kind == "b"
+    if isinstance(value, (int, np.integer)):
+        # ints are widened into float columns only when exact
+        if kind == "i":
+            return _INT64_MIN <= value <= _INT64_MAX
+        try:
+            return kind == "f" and float(value) == value
+        except OverflowError:  # beyond the float range
+            return False
+    return False
+
+
 class VertexState:
-    """Columnar storage of current vertex property values."""
+    """Columnar storage of current vertex property values: a NumPy array
+    per scalar property, a Python list per object property."""
 
     def __init__(self, num_vertices: int):
         self._n = num_vertices
-        self._columns: Dict[str, List[Any]] = {}
+        self._columns: Dict[str, Any] = {}
         self._factories: Dict[str, Callable[[], Any]] = {}
 
     # ------------------------------------------------------------------
@@ -127,7 +178,11 @@ class VertexState:
             raise ValueError(f"property name {name!r} must be a public identifier")
         make = factory if factory is not None else _default_copier(default)
         self._factories[name] = make
-        self._columns[name] = [make() for _ in range(self._n)]
+        dtype = _scalar_dtype(default) if factory is None else None
+        if dtype is not None:
+            self._columns[name] = np.full(self._n, default, dtype=dtype)
+        else:
+            self._columns[name] = [make() for _ in range(self._n)]
 
     def remove_property(self, name: str) -> None:
         self._columns.pop(name)
@@ -156,32 +211,55 @@ class VertexState:
     def reset_property(self, name: str) -> None:
         """Reinitialize a property column to its default values."""
         make = self._factories[name]
+        col = self._columns[name]
+        if isinstance(col, np.ndarray):
+            value = make()
+            if _fits(value, col.dtype.kind):
+                col[:] = value
+                return
         self._columns[name] = [make() for _ in range(self._n)]
 
     # ------------------------------------------------------------------
     def get(self, vid: int, name: str) -> Any:
-        return self._columns[name][vid]
+        col = self._columns[name]
+        if isinstance(col, np.ndarray):
+            return col.item(vid)
+        return col[vid]
 
     def set(self, vid: int, name: str, value: Any) -> None:
-        self._columns[name][vid] = value
+        col = self._columns[name]
+        if isinstance(col, np.ndarray):
+            if _fits(value, col.dtype.kind):
+                col[vid] = value
+                return
+            # Demote to the object representation; kernel dispatch falls
+            # back to the interpreted path for this property from now on.
+            col = self._columns[name] = col.tolist()
+        col[vid] = value
 
     def row(self, vid: int) -> Dict[str, Any]:
         """All current property values of one vertex as a dict copy."""
-        return {name: col[vid] for name, col in self._columns.items()}
+        return {name: self.get(vid, name) for name in self._columns}
 
-    def column(self, name: str) -> List[Any]:
-        """The live column list for ``name`` (mutating it bypasses BSP —
-        reserved for result extraction and tests)."""
+    def column(self, name: str) -> Any:
+        """The live column for ``name`` — an array or a list (mutating it
+        bypasses BSP — reserved for the barrier, result extraction and
+        tests)."""
         return self._columns[name]
 
-    def array(self, name: str):
-        """The live column as a NumPy array, or ``None`` when the column
-        has no array representation.  The interpreted state stores plain
-        Python lists, so this always returns ``None`` here; the vectorized
-        :class:`~repro.runtime.vectorized.state.TypedVertexState` overrides
-        it.  Kernel dispatch uses this to decide whether a property can be
-        processed columnar."""
+    def array(self, name: str) -> Optional[np.ndarray]:
+        """The live NumPy column for ``name``, or ``None`` when the
+        property is stored as an object list (collections, mixed types,
+        demoted columns).  Kernel dispatch uses this to decide whether a
+        property can be processed columnar."""
+        col = self._columns.get(name)
+        if isinstance(col, np.ndarray):
+            return col
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"VertexState(n={self._n}, properties={sorted(self._columns)})"
+        kinds = {
+            name: (col.dtype.name if isinstance(col, np.ndarray) else "object")
+            for name, col in self._columns.items()
+        }
+        return f"VertexState(n={self._n}, columns={kinds})"

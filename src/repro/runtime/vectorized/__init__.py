@@ -1,11 +1,10 @@
 """Vectorized (NumPy columnar) execution tier.
 
 This package is the second execution backend underneath
-:class:`~repro.core.engine.FlashEngine`:
+:class:`~repro.core.engine.FlashEngine`, over the same dtype-inferred
+NumPy property columns (:class:`~repro.runtime.state.VertexState`)
+every engine holds:
 
-* :class:`~repro.runtime.vectorized.state.TypedVertexState` — vertex
-  properties as dtype-inferred NumPy columns, interchangeable with the
-  interpreted :class:`~repro.runtime.state.VertexState`;
 * :mod:`~repro.runtime.vectorized.specs` — declarative kernel specs that
   algorithms attach to ``vertex_map``/``edge_map`` calls;
 * :mod:`~repro.runtime.vectorized.kernels` — the one set of push/pull
@@ -31,13 +30,11 @@ from repro.runtime.vectorized.dispatch import (
     validate_backend,
 )
 from repro.runtime.vectorized.specs import NOT_SET, EdgeMapSpec, VertexMapSpec
-from repro.runtime.vectorized.state import TypedVertexState
 
 __all__ = [
     "BACKENDS",
     "EdgeMapSpec",
     "NOT_SET",
-    "TypedVertexState",
     "VertexMapSpec",
     "default_backend",
     "use_backend",

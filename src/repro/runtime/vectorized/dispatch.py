@@ -12,11 +12,11 @@ the ambient default instead, which callers set with
 Backends
 --------
 ``interp``
-    The original per-vertex interpreted path (pure Python).
+    The per-vertex interpreted kernels (pure Python) on every superstep.
 ``vectorized``
-    NumPy columnar state + vectorized kernels for supersteps that carry a
-    matching spec; everything else falls back to the interpreted kernels
-    (running on the typed state) within the same run.
+    Vectorized kernels for supersteps that carry a matching spec;
+    everything else falls back to the interpreted kernels within the
+    same run.  Every backend holds the same typed column store.
 ``oocore``
     Out-of-core block execution: only vertex columns stay resident and
     edge blocks stream from memory-mapped block files through the

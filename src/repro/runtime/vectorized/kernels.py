@@ -269,7 +269,7 @@ class ColumnarKernels:
                     raise FlashUsageError("spec map returned a wrong-length column")
                 updates[name] = column
 
-        fw.barrier_columnar(passing, updates, frontier_out=int(len(passing)))
+        fw.barrier(passing, updates, frontier_out=int(len(passing)))
         return VertexSubset(engine, passing)
 
     # ------------------------------------------------------------------
@@ -336,7 +336,7 @@ class ColumnarKernels:
             out_ids = pairs = np.empty(0, dtype=np.int64)
             acc = col[out_ids]
 
-        fw.barrier_columnar(
+        fw.barrier(
             out_ids,
             {spec.prop: acc},
             reduce_pairs=(pairs // P, pairs % P),
@@ -379,7 +379,7 @@ class ColumnarKernels:
 
         per_worker = np.bincount(ctx.owners, weights=t_ops, minlength=ctx.P)
         _add_ops(fw._current, per_worker.astype(np.int64))
-        fw.barrier_columnar(
+        fw.barrier(
             applied, {spec.prop: column}, frontier_out=int(len(applied))
         )
         return VertexSubset(engine, applied)

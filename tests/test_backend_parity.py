@@ -21,7 +21,8 @@ from repro.algorithms import (
 )
 from repro.core.engine import FlashEngine
 from repro.runtime.flashware import FlashwareOptions
-from repro.runtime.vectorized import TypedVertexState, use_backend
+from repro.runtime.state import VertexState
+from repro.runtime.vectorized import use_backend
 from repro.suite import run_app
 
 
@@ -106,9 +107,6 @@ class TestFullSummaryParity:
 
 
 # ---------------------------------------------------------------------------
-# TypedVertexState
-# ---------------------------------------------------------------------------
-# ---------------------------------------------------------------------------
 # The columnar superstep path does no per-vertex Python work
 # ---------------------------------------------------------------------------
 class TestColumnarPathStaysColumnar:
@@ -147,14 +145,21 @@ class TestColumnarPathStaysColumnar:
         for subset in returned:
             assert subset._arr is not None and not subset._arr.flags.writeable
             assert subset._ids is None and subset._sorted is None
-        # (b) the mirror layout was only ever read as counts
+        # (b) the mirror layout was only ever read as counts or columns,
+        # by the interpreted oracle's barrier and the mp commit too
         assert engine.flashware.partition._mirror_sets == {}
-        assert oracle.engine.flashware.partition._mirror_sets  # interp does ask
+        assert oracle.engine.flashware.partition._mirror_sets == {}
+        with FlashEngine(graph, num_workers=3, executor="mp") as mp_engine:
+            assert fn(mp_engine, **kwargs).values == oracle.values
+            assert mp_engine.flashware.partition._mirror_sets == {}
 
 
+# ---------------------------------------------------------------------------
+# The typed column store (every engine's VertexState)
+# ---------------------------------------------------------------------------
 class TestTypedVertexState:
     def test_dtype_inference(self):
-        s = TypedVertexState(4)
+        s = VertexState(4)
         s.add_property("i", 0)
         s.add_property("f", 1.5)
         s.add_property("b", True)
@@ -163,7 +168,7 @@ class TestTypedVertexState:
         assert s.array("b").dtype == np.bool_
 
     def test_get_returns_python_scalars(self):
-        s = TypedVertexState(3)
+        s = VertexState(3)
         s.add_property("x", 7)
         assert type(s.get(0, "x")) is int
         s.add_property("y", 2.0)
@@ -172,7 +177,7 @@ class TestTypedVertexState:
         assert type(s.get(2, "z")) is bool
 
     def test_factory_columns_stay_lists(self):
-        s = TypedVertexState(3)
+        s = VertexState(3)
         s.add_property("inbox", factory=list)
         assert s.array("inbox") is None
         s.set(1, "inbox", [4, 5])
@@ -180,7 +185,7 @@ class TestTypedVertexState:
         assert s.get(0, "inbox") == []
 
     def test_demotion_on_unfitting_write(self):
-        s = TypedVertexState(3)
+        s = VertexState(3)
         s.add_property("x", 0)
         assert s.array("x") is not None
         s.set(1, "x", "hello")  # no longer int64-typed
@@ -189,7 +194,7 @@ class TestTypedVertexState:
         assert s.get(0, "x") == 0
 
     def test_int_column_accepts_exact_floats(self):
-        s = TypedVertexState(2)
+        s = VertexState(2)
         s.add_property("x", 0)
         s.set(0, "x", 3)
         assert s.get(0, "x") == 3
@@ -198,7 +203,7 @@ class TestTypedVertexState:
         assert s.get(1, "x") == 2.5
 
     def test_row_matches_gets(self):
-        s = TypedVertexState(2)
+        s = VertexState(2)
         s.add_property("a", 1)
         s.add_property("b", 2.0)
         assert s.row(0) == {"a": 1, "b": 2.0}

@@ -75,8 +75,24 @@ class TestCheckpointRestore:
 
 
 class TestVectorizedCheckpoint:
-    """Checkpoint/restore on the vectorized backend's TypedVertexState,
-    including the column-demotion and abort paths recovery exercises."""
+    """Checkpoint/restore of the typed column store, including the
+    column-demotion and abort paths recovery exercises."""
+
+    @pytest.mark.parametrize("backend", ["interp", "vectorized"])
+    def test_restore_installs_snapshot_representation(self, backend):
+        """Regression: a demoted (list) snapshot restored over a live
+        int64 column of the same name was copied into it value by value,
+        and NumPy truncated 2.5 to 2."""
+        eng = FlashEngine(Graph.from_edges([(0, 1), (1, 2)]), num_workers=2,
+                          backend=backend)
+        eng.add_property("x", 0)
+        eng.vertex_map(eng.subset([0]), ctrue, lambda v: setattr(v, "x", 2.5) or v)
+        snapshot = eng.flashware.checkpoint()
+        eng.drop_property("x")
+        eng.add_property("x", 0)
+        eng.flashware.restore(snapshot)
+        assert eng.value(0, "x") == 2.5
+        assert eng.values("x") == [2.5, 0, 0]
 
     def test_restore_after_column_demotion(self):
         """A NumPy column demoted to an object list *between* checkpoint

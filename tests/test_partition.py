@@ -59,17 +59,10 @@ class TestMirrors:
             expected.discard(pm.owner_of(v))
             assert pm.neighbor_mirrors(v) == frozenset(expected)
 
-    def test_all_mirrors_excludes_owner(self, graph):
-        pm = partition_graph(graph, 4)
-        for v in (0, 5, 11):
-            mirrors = pm.all_mirrors(v)
-            assert pm.owner_of(v) not in mirrors
-            assert len(mirrors) == 3
-
     def test_neighbor_mirrors_subset_of_all(self, graph):
         pm = partition_graph(graph, 4)
         for v in range(graph.num_vertices):
-            assert pm.neighbor_mirrors(v) <= pm.all_mirrors(v)
+            assert pm.neighbor_mirrors(v) <= set(range(4)) - {pm.owner_of(v)}
 
     def test_directed_mirrors_include_in_neighbors(self):
         g = Graph.from_edges([(0, 1), (2, 1)], directed=True, num_vertices=3)

@@ -19,7 +19,6 @@ from repro.runtime.state import (
     VertexState,
     _default_copier,
 )
-from repro.runtime.vectorized.state import TypedVertexState
 
 
 def test_constant_factory_pickle_roundtrip():
@@ -92,11 +91,11 @@ def test_vertex_state_pickle_roundtrip():
     assert clone.get(3, "tags") == set()
     # And the factory still works for reset.
     clone.reset_property("cid")
-    assert clone.column("cid") == [0, 0, 0, 0]
+    assert clone.column("cid").tolist() == [0, 0, 0, 0]
 
 
 def test_typed_vertex_state_pickle_roundtrip():
-    state = TypedVertexState(3)
+    state = VertexState(3)
     state.add_property("d", default=1.5)
     state.add_property("bag", default=[])
     state.set(0, "d", 2.5)
