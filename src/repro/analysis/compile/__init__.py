@@ -1,11 +1,13 @@
 """The static kernel compiler (``analysis="compile"``).
 
-Three coordinated outputs on top of the staticpass IR:
+Three coordinated outputs, read off the front end's one lowering of each
+user function (:mod:`~repro.analysis.compile.frontend` into the IR of
+:mod:`~repro.analysis.compile.exprs`, which the static analyzer folds
+its access sets from too):
 
 * :mod:`~repro.analysis.compile.synthesize` — compile analyzable
-  F/M/C/R user functions into vectorized kernel specs (via the
-  restricted expression IR in :mod:`~repro.analysis.compile.exprs`),
-  with sound per-kernel fallback to the interpreter;
+  F/M/C/R user functions into vectorized kernel specs, with sound
+  per-kernel fallback to the interpreter;
 * :mod:`~repro.analysis.compile.commplan` — fold per-kernel read/write
   sets into per-property sync scopes the mp executor uses to withhold
   mirror deltas no kernel can read;

@@ -1,14 +1,14 @@
-"""Restricted expression IR for the static kernel compiler.
+"""The kernel IR and its NumPy compilation.
 
-The spec synthesizer (:mod:`repro.analysis.compile.synthesize`) lowers
-FLASH user-function bodies into this IR before deciding whether a
-kernel is compilable.  The IR is deliberately tiny: every node has an
-exact NumPy counterpart whose elementwise result is *bit-identical* to
-the interpreted Python evaluation, so a kernel built from compiled
-expressions can be dispatched to the vectorized backend without any
-semantic fork.  Anything outside the IR raises :class:`Unsupported`
-with a reason — the synthesizer then leaves the kernel interpreted,
-which is always sound.
+The front end (:mod:`repro.analysis.compile.frontend`) lowers each
+user-function body into this IR once: a tuple of :class:`Store` /
+:class:`If` / :class:`Return` statements over expressions.  Every
+expression node has an exact NumPy counterpart whose elementwise result
+is *bit-identical* to the interpreted Python evaluation.  Whatever does
+not lower is an :class:`Opaque` node keeping the reason and the access
+facts of the subtree: the static analyzer folds those facts, and the
+spec synthesizer raises :class:`Unsupported` with the reason at the
+first Opaque node it needs (the kernel then stays interpreted).
 
 Two compilation targets mirror the vectorized batch views:
 
@@ -28,9 +28,8 @@ normalizing.
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, FrozenSet, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -132,43 +131,96 @@ class FreshObject(Expr):
     kind: str  # "set" | "list" | "dict"
 
 
-_BINOPS = {
-    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
-    ast.FloorDiv: "//", ast.Mod: "%",
-}
-_CMPOPS = {
-    ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
-    ast.Gt: ">", ast.GtE: ">=",
-}
+@dataclass(frozen=True)
+class Opaque(Expr):
+    """A subtree outside the IR (an expression or a whole statement):
+    why it does not lower, plus every fact it may contribute to the
+    function's access sets — the role reads/writes, ``engine.get`` reads
+    and writes, roles it lets escape, captured names it mutates,
+    non-commutative writes and the role parameter it returns (an index
+    into the role parameters)."""
+
+    reason: str
+    reads: FrozenSet[Tuple[str, str]] = frozenset()
+    writes: FrozenSet[Tuple[str, str]] = frozenset()
+    remote_reads: FrozenSet[str] = frozenset()
+    remote_writes: FrozenSet[str] = frozenset()
+    unknown_roles: FrozenSet[str] = frozenset()
+    mutated_globals: FrozenSet[str] = frozenset()
+    noncomm_writes: FrozenSet[str] = frozenset()
+    returns_param: Optional[int] = None
+
+
+#: The fact fields of :class:`Opaque`, in declaration order.
+FACTS = (
+    "reads", "writes", "remote_reads", "remote_writes", "unknown_roles",
+    "mutated_globals", "noncomm_writes",
+)
+
+
+# ---------------------------------------------------------------------------
+# Statements (one function body = a tuple of these)
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Store:
+    """``<role param>.prop = value``.  ``noncommutative`` marks a value
+    combining two parameters of the written role with a
+    non-commutative operator (the reduce-order lint fact)."""
+
+    role: str
+    prop: str
+    value: Expr
+    noncommutative: bool = False
+
+
+@dataclass(frozen=True)
+class If:
+    cond: Expr
+    then: Tuple[Any, ...]
+    otherwise: Tuple[Any, ...]
+
+
+@dataclass(frozen=True)
+class Return:
+    """``return`` at the top level of a body.  ``role`` is set when the
+    value is a bare role parameter (then ``value`` is the Opaque of that
+    name); ``value`` is ``None`` for a bare ``return``."""
+
+    role: Optional[str]
+    value: Optional[Expr]
+
+
+def children(expr: Expr) -> Iterator[Expr]:
+    """The direct sub-expressions of ``expr``."""
+    for value in vars(expr).values():
+        if isinstance(value, Expr):
+            yield value
+        elif isinstance(value, tuple):
+            yield from (v for v in value if isinstance(v, Expr))
+
+
+def rebuild(expr: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
+    """``expr`` with every :class:`Prop` / :class:`Special` replaced by
+    ``leaf(node)``."""
+    if isinstance(expr, (Prop, Special)):
+        return leaf(expr)
+    changes = {}
+    for name, value in vars(expr).items():
+        if isinstance(value, Expr):
+            changes[name] = rebuild(value, leaf)
+        elif isinstance(value, tuple) and any(isinstance(v, Expr) for v in value):
+            changes[name] = tuple(rebuild(v, leaf) for v in value)
+    return replace(expr, **changes) if changes else expr
 
 
 def reads(expr: Expr) -> Set[Tuple[str, str]]:
     """Every ``(role, prop)`` the expression reads."""
-    out: Set[Tuple[str, str]] = set()
-    _collect_reads(expr, out)
-    return out
-
-
-def _collect_reads(expr: Expr, out: Set[Tuple[str, str]]) -> None:
     if isinstance(expr, Prop):
-        out.add((expr.role, expr.name))
-    elif isinstance(expr, Unary):
-        _collect_reads(expr.operand, out)
-    elif isinstance(expr, Abs):
-        _collect_reads(expr.operand, out)
-    elif isinstance(expr, (Binary, Compare)):
-        _collect_reads(expr.left, out)
-        _collect_reads(expr.right, out)
-    elif isinstance(expr, BoolOp):
-        for op in expr.operands:
-            _collect_reads(op, out)
-    elif isinstance(expr, MinMax):
-        for arg in expr.args:
-            _collect_reads(arg, out)
-    elif isinstance(expr, Where):
-        _collect_reads(expr.cond, out)
-        _collect_reads(expr.then, out)
-        _collect_reads(expr.otherwise, out)
+        return {(expr.role, expr.name)}
+    out: Set[Tuple[str, str]] = set()
+    for child in children(expr):
+        out |= reads(child)
+    return out
 
 
 def is_boolean(expr: Expr) -> bool:
@@ -184,130 +236,6 @@ def is_boolean(expr: Expr) -> bool:
     if isinstance(expr, Const):
         return isinstance(expr.value, bool)
     return False
-
-
-# ---------------------------------------------------------------------------
-# AST -> IR lowering
-# ---------------------------------------------------------------------------
-_CONST_TYPES = (bool, int, float, str, type(None))
-
-
-class Lowerer:
-    """Lowers expression ASTs from one user function.
-
-    ``env`` maps parameter names to roles; ``resolve`` resolves free
-    names (``bind``-supplied values first, then closure / globals /
-    builtins) and must return ``(found, value)``; ``read_hook`` lets
-    the statement lowerer substitute already-staged writes for
-    sequential-read semantics (``None`` reads the committed snapshot).
-    """
-
-    def __init__(
-        self,
-        env: Dict[str, str],
-        resolve: Callable[[str], Tuple[bool, Any]],
-        read_hook: Optional[Callable[[str, str], Optional[Expr]]] = None,
-    ):
-        self.env = env
-        self.resolve = resolve
-        self.read_hook = read_hook
-
-    def lower(self, node: ast.AST) -> Expr:
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, _CONST_TYPES):
-                return Const(node.value)
-            raise Unsupported(f"constant of type {type(node.value).__name__}")
-        if isinstance(node, ast.Attribute):
-            return self._lower_attribute(node)
-        if isinstance(node, ast.Name):
-            return self._lower_name(node.id)
-        if isinstance(node, ast.UnaryOp):
-            operand = self.lower(node.operand)
-            if isinstance(node.op, ast.Not):
-                return Unary("not", operand)
-            if isinstance(node.op, ast.USub):
-                # fold negated literals so sentinel matching sees Const(-1)
-                if isinstance(operand, Const) and isinstance(
-                    operand.value, (int, float)
-                ):
-                    return Const(-operand.value)
-                return Unary("neg", operand)
-            if isinstance(node.op, ast.UAdd):
-                if isinstance(operand, Const) and isinstance(
-                    operand.value, (int, float)
-                ):
-                    return operand
-                return Unary("pos", operand)
-            raise Unsupported("unary operator")
-        if isinstance(node, ast.BinOp):
-            op = _BINOPS.get(type(node.op))
-            if op is None:
-                raise Unsupported(f"operator {type(node.op).__name__}")
-            return Binary(op, self.lower(node.left), self.lower(node.right))
-        if isinstance(node, ast.Compare):
-            if len(node.ops) != 1 or len(node.comparators) != 1:
-                raise Unsupported("chained comparison")
-            op = _CMPOPS.get(type(node.ops[0]))
-            if op is None:
-                raise Unsupported(f"comparison {type(node.ops[0]).__name__}")
-            return Compare(op, self.lower(node.left), self.lower(node.comparators[0]))
-        if isinstance(node, ast.BoolOp):
-            operands = tuple(self.lower(v) for v in node.values)
-            if not all(is_boolean(op) for op in operands):
-                raise Unsupported("and/or over non-boolean operands")
-            op = "and" if isinstance(node.op, ast.And) else "or"
-            return BoolOp(op, operands)
-        if isinstance(node, ast.IfExp):
-            return Where(
-                self.lower(node.test), self.lower(node.body), self.lower(node.orelse)
-            )
-        if isinstance(node, ast.Call):
-            return self._lower_call(node)
-        raise Unsupported(f"expression {type(node).__name__}")
-
-    def _lower_attribute(self, node: ast.Attribute) -> Expr:
-        if not isinstance(node.value, ast.Name):
-            raise Unsupported("nested attribute access")
-        role = self.env.get(node.value.id)
-        if role is None:
-            raise Unsupported(f"attribute on non-role name {node.value.id!r}")
-        attr = node.attr
-        if attr in SPECIAL_ATTRS:
-            return Special(role, attr)
-        if attr.startswith("_"):
-            raise Unsupported(f"private attribute {attr!r}")
-        if self.read_hook is not None:
-            staged = self.read_hook(role, attr)
-            if staged is not None:
-                return staged
-        return Prop(role, attr)
-
-    def _lower_name(self, name: str) -> Expr:
-        if name in self.env:
-            raise Unsupported(f"bare role parameter {name!r}")
-        found, value = self.resolve(name)
-        if not found:
-            raise Unsupported(f"unresolvable name {name!r}")
-        if isinstance(value, _CONST_TYPES):
-            return Const(value)
-        raise Unsupported(f"non-constant captured value {name!r}")
-
-    def _lower_call(self, node: ast.Call) -> Expr:
-        if node.keywords or not isinstance(node.func, ast.Name):
-            raise Unsupported("call")
-        name = node.func.id
-        found, fn = self.resolve(name)
-        if not found:
-            raise Unsupported(f"unresolvable callee {name!r}")
-        if fn is min or fn is max:
-            if len(node.args) < 2:
-                raise Unsupported(f"{name}() over an iterable")
-            return MinMax(name, tuple(self.lower(a) for a in node.args))
-        if fn is abs and len(node.args) == 1:
-            return Abs(self.lower(node.args[0]))
-        if fn in (set, list, dict) and not node.args:
-            return FreshObject(fn.__name__)
-        raise Unsupported(f"call to {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ backend, capturing three things:
 
 * per-kernel Table II classification (the staticpass program capture);
 * per-kernel dispatch decision — vectorized via a hand-written spec,
-  vectorized via a synthesized spec, or interpreted (with the
-  synthesizer's refusal reason);
+  vectorized via a synthesized spec, or interpreted with the reason
+  (the synthesizer's refusal, ``edge set is not E (<type>)`` for a
+  constructed edge set, or a spec the columnar kernels declined);
 * the accumulated :class:`~repro.analysis.compile.commplan.CommunicationPlan`
   with a static prediction of the mirror-sync entries a full-column
   update costs under the planned scopes vs. plain broadcast.
@@ -41,6 +42,7 @@ class PlanCapture:
         #: dicts mutate in place, so reading them after the run sees the
         #: final state.
         self.engines: Dict[int, Any] = {}
+        self.live: List[Any] = []
 
     def merged_kernels(self) -> Dict[str, Dict[str, Any]]:
         merged: Dict[str, Dict[str, Any]] = {}
@@ -53,6 +55,8 @@ class PlanCapture:
                     have["dispatched"] = have["dispatched"] or entry["dispatched"]
                     if have.get("origin") is None:
                         have["origin"] = entry.get("origin")
+                    if have.get("reason") is None:
+                        have["reason"] = entry.get("reason")
         return merged
 
     def merged_comm_plan(self) -> CommunicationPlan:
@@ -84,11 +88,12 @@ def capturing() -> bool:
 def note_engine(engine) -> None:
     """Register one compile-mode engine with every active collector
     (called from the engine's dispatch bookkeeping)."""
+    fw = engine.flashware
     for cap in _collectors:
-        cap.engines.setdefault(
-            id(engine.flashware),
-            (engine.flashware.partition, engine.comm_plan, engine.kernel_plan),
-        )
+        if id(fw) not in cap.engines:
+            cap.engines[id(fw)] = (fw.partition, engine.comm_plan, engine.kernel_plan)
+            # holding the flashware keeps its id unique while capturing
+            cap.live.append(fw)
 
 
 @contextmanager
@@ -195,6 +200,7 @@ def build_plan(app: str, num_workers: int = 4, graph=None) -> AppPlan:
             "critical": sorted(report.classification.critical),
             "origin": origin,
             "dispatch": dispatch,
+            "reason": decision.get("reason") if dispatch == "interp" else None,
         })
     kernels.sort(key=lambda k: k["kernel"])
 
@@ -241,9 +247,10 @@ def render_plan(plan: AppPlan) -> str:
     for k in plan.kernels:
         critical = ",".join(k["critical"]) or "-"
         status = "" if k["complete"] else "  [analysis incomplete]"
+        reason = f" reason={k['reason']}" if k["reason"] else ""
         lines.append(
             f"  {k['kernel']:<{width}}  critical={critical:<12} "
-            f"dispatch={k['dispatch']}{status}"
+            f"dispatch={k['dispatch']}{reason}{status}"
         )
     lines.append("")
     if plan.plan_active:

@@ -1,16 +1,13 @@
 """Spec synthesis: F/M/C/R user functions -> vectorized kernel specs.
 
-The static kernel compiler's first output (the communication planner is
-:mod:`repro.analysis.compile.commplan`): recover each user function's
-AST exactly like the staticpass analyzer does, lower the body into the
-restricted expression IR (:mod:`repro.analysis.compile.exprs`), and —
-when every slot fits a pattern whose vectorized execution is provably
-bit-identical to the interpreted kernel — emit an
-:class:`~repro.runtime.vectorized.specs.EdgeMapSpec` /
-:class:`~repro.runtime.vectorized.specs.VertexMapSpec` automatically.
-Any unsupported construct makes :func:`synthesize_vertex_spec` /
-:func:`synthesize_edge_spec` return ``None`` and the kernel stays
-interpreted — synthesis is an optimization, never a semantic fork.
+The static kernel compiler's first output: pattern-match the front
+end's lowering of each slot (:mod:`repro.analysis.compile.frontend`, the
+one the static analyzer folds its access sets from) and, when every
+slot fits a pattern whose vectorized execution is provably bit-identical
+to the interpreted kernel, emit an ``EdgeMapSpec`` / ``VertexMapSpec``.
+An ``Opaque`` node the match needs, or any other unsupported construct,
+is a refusal with a reason (:func:`explain_vertex` / :func:`explain_edge`)
+and the kernel stays interpreted — never a semantic fork.
 
 Edge kernels are synthesized **per traversal direction** and the spec
 pins ``only_mode`` to it, because the interpreted push and pull kernels
@@ -40,33 +37,29 @@ that is sound (sparse) and the kernel is refused where it is not
 
 from __future__ import annotations
 
-import ast
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
+from repro.analysis.compile import frontend
 from repro.analysis.compile.exprs import (
     Binary,
-    BoolOp,
     Compare,
     Const,
     Expr,
-    FreshObject,
-    Lowerer,
+    If,
     MinMax,
+    Opaque,
     Prop,
+    Return,
     Special,
+    Store,
     Unsupported,
     Where,
     compile_edge,
     compile_vertex,
     compile_vertex_column,
     reads,
-)
-from repro.analysis.staticpass.analyzer import (
-    _find_def,
-    _module_tree,
-    _resolve_name,
-    _unwrap,
+    rebuild,
 )
 from repro.core.primitives import ctrue
 from repro.runtime.vectorized.specs import NOT_SET, EdgeMapSpec, VertexMapSpec
@@ -106,232 +99,106 @@ def force_synthesis() -> Iterator[None]:
         _force = prev
 
 
-def _is_ctrue(fn: Optional[Callable]) -> bool:
-    return fn is None or fn is ctrue
+#: Alias kept for callers that clear the synthesis cache by name
+#: (``perf/probes.py``); synthesis results live in the front end's cache.
+clear_cache = frontend.clear
 
 
-# ---------------------------------------------------------------------------
-# Source recovery (same machinery as the staticpass analyzer)
-# ---------------------------------------------------------------------------
-def _prepare(fn: Callable, roles: Tuple[str, ...]):
-    """Recover ``fn``'s AST and build the lowering environment.
-    Returns ``(body_statements, env, resolve)``; raises
-    :class:`Unsupported` when the source cannot be recovered."""
-    inner, leading, trailing = _unwrap(fn)
-    code = getattr(inner, "__code__", None)
-    if code is None:
-        raise Unsupported("no recoverable source")
-    tree = _module_tree(code.co_filename)
-    node = _find_def(tree, code) if tree is not None else None
-    if node is None:
-        raise Unsupported("function AST not found")
-    params = [a.arg for a in node.args.args]
-    full_roles: List[Optional[str]] = [None] * leading + list(roles)
-    env: Dict[str, str] = {}
-    for i, name in enumerate(params):
-        role = full_roles[i] if i < len(full_roles) else None
-        if role is not None:
-            env[name] = role
-    bound: Dict[str, Any] = {}
-    if trailing:
-        tail = params[max(len(params) - len(trailing), 0):]
-        bound = dict(zip(tail, trailing[-len(tail):] if tail else ()))
-
-    def resolve(name: str) -> Tuple[bool, Any]:
-        if name in bound:
-            return True, bound[name]
-        return _resolve_name(inner, name)
-
-    if isinstance(node, ast.Lambda):
-        body: List[ast.stmt] = [ast.Return(value=node.body)]
-    else:
-        body = list(node.body)
-    return body, env, resolve
-
-
-def _cache_key(kind: str, *fns: Optional[Callable]) -> Optional[Tuple]:
-    """A memoization key covering everything synthesis consults: code
-    objects, ``partial`` leading counts, and the concrete trailing bound
-    values (they become ``Const`` nodes, so two binds with different
-    values must not share a spec).  ``None`` when a bound value is
-    unhashable — the result is then simply not cached."""
-    parts: List[Any] = [kind]
-    for fn in fns:
-        if fn is None:
-            parts.append(None)
-            continue
-        inner, leading, trailing = _unwrap(fn)
-        code = getattr(inner, "__code__", None)
-        if code is None:
-            return None
-        try:
-            hash(trailing)
-        except TypeError:
-            return None
-        parts.append((code, leading, trailing))
-    return tuple(parts)
-
-
-_cache: Dict[Tuple, Tuple[Optional[Any], str]] = {}
-
-
-def clear_cache() -> None:
-    _cache.clear()
-
-
-# ---------------------------------------------------------------------------
-# Statement lowering (shared by VERTEXMAP M, EDGEMAP M and R)
-# ---------------------------------------------------------------------------
-class _Body:
-    """The effect of one function body: staged writes (``pending``, in
-    program order, with sequential-read substitution) plus which role
-    parameter it returns."""
-
-    def __init__(self, pending: Dict[str, Expr], returned: Optional[str]):
-        self.pending = pending
-        self.returned = returned
-
-
-def _lower_body(
-    stmts: List[ast.stmt],
-    env: Dict[str, str],
-    resolve: Callable,
-    writable: str,
-) -> _Body:
-    pending: Dict[str, Expr] = {}
-
-    def read_hook(role: str, prop: str) -> Optional[Expr]:
-        if role == writable:
-            return pending.get(prop)
+def _present(entry: Optional[frontend.Lowered]) -> Optional[frontend.Lowered]:
+    """The slot's lowering, or ``None`` when the slot is absent or ``ctrue``."""
+    if entry is None or entry.code is ctrue.__code__:
         return None
+    return entry
 
-    lowerer = Lowerer(env, resolve, read_hook)
-    returned: Optional[str] = None
 
-    def run(stmt_list: List[ast.stmt], staged: Dict[str, Expr]) -> None:
-        nonlocal returned
-        for i, stmt in enumerate(stmt_list):
-            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-                continue  # docstring
-            if isinstance(stmt, ast.Return):
-                if staged is not pending or i != len(stmt_list) - 1:
-                    raise Unsupported("early return")
-                if stmt.value is None:
-                    return
-                if isinstance(stmt.value, ast.Name) and stmt.value.id in env:
-                    returned = env[stmt.value.id]
-                    return
-                raise Unsupported("return of a non-parameter")
-            if isinstance(stmt, ast.Assign):
-                if len(stmt.targets) != 1:
-                    raise Unsupported("multiple assignment targets")
-                _store(stmt.targets[0], lowerer.lower(stmt.value), staged)
-            elif isinstance(stmt, ast.AugAssign):
-                target = stmt.target
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                ):
-                    raise Unsupported("augmented assignment target")
-                current = lowerer.lower(target)
-                value = lowerer.lower(stmt.value)
-                op = {
-                    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
-                    ast.FloorDiv: "//", ast.Mod: "%",
-                }.get(type(stmt.op))
-                if op is None:
-                    raise Unsupported("augmented operator")
-                _store(target, Binary(op, current, value), staged, lowered=True)
-            elif isinstance(stmt, ast.If):
-                cond = lowerer.lower(stmt.test)
-                then_staged = dict(staged)
-                else_staged = dict(staged)
-                run_branch(stmt.body, then_staged)
-                run_branch(stmt.orelse, else_staged)
-                if set(then_staged) != set(else_staged):
-                    raise Unsupported("branches write different properties")
-                for prop in then_staged:
-                    a, b = then_staged[prop], else_staged[prop]
-                    staged[prop] = a if a == b else Where(cond, a, b)
-            else:
-                raise Unsupported(f"statement {type(stmt).__name__}")
+# ---------------------------------------------------------------------------
+# Matching bodies (shared by VERTEXMAP M, EDGEMAP M and R)
+# ---------------------------------------------------------------------------
+def _need(node: Any) -> Any:
+    if isinstance(node, Opaque):
+        raise Unsupported(node.reason)
+    return node
 
-    def run_branch(stmt_list: List[ast.stmt], staged: Dict[str, Expr]) -> None:
-        # Branch bodies may assign and nest Ifs but not return.
-        for stmt in stmt_list:
-            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-                continue
-            if isinstance(stmt, ast.Assign):
-                if len(stmt.targets) != 1:
-                    raise Unsupported("multiple assignment targets")
-                # reads inside a branch see that branch's staged writes
-                branch_lowerer = Lowerer(
-                    env, resolve,
-                    lambda role, prop: staged.get(prop) if role == writable else None,
-                )
-                _store(stmt.targets[0], branch_lowerer.lower(stmt.value), staged)
-            elif isinstance(stmt, ast.If):
-                branch_lowerer = Lowerer(
-                    env, resolve,
-                    lambda role, prop: staged.get(prop) if role == writable else None,
-                )
-                cond = branch_lowerer.lower(stmt.test)
-                then_staged = dict(staged)
-                else_staged = dict(staged)
-                run_branch(stmt.body, then_staged)
-                run_branch(stmt.orelse, else_staged)
-                if set(then_staged) != set(else_staged):
-                    raise Unsupported("branches write different properties")
-                for prop in then_staged:
-                    a, b = then_staged[prop], else_staged[prop]
-                    staged[prop] = a if a == b else Where(cond, a, b)
-            else:
-                raise Unsupported(f"statement {type(stmt).__name__} in branch")
 
-    def _store(
-        target: ast.AST, value: Expr, staged: Dict[str, Expr], lowered: bool = False
-    ) -> None:
-        if not (
-            isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
-        ):
-            raise Unsupported("assignment to a non-property target")
-        role = env.get(target.value.id)
-        if role is None:
-            raise Unsupported("assignment through a non-role name")
-        if role != writable:
-            raise Unsupported(f"write to the {role} role")
-        attr = target.attr
-        if attr.startswith("_"):
+def _body(entry: frontend.Lowered) -> Tuple[Any, ...]:
+    if entry.body is None:
+        raise Unsupported(entry.missing)
+    return entry.body
+
+
+def _staged(expr: Expr, staged: Dict[str, Expr], writable: str) -> Expr:
+    """Sequential-read semantics: a read of an already-staged write of
+    the writable role sees the staged value."""
+    return rebuild(
+        _need(expr),
+        lambda leaf: staged.get(leaf.name, leaf)
+        if isinstance(leaf, Prop) and leaf.role == writable else leaf,
+    )
+
+
+def _apply(stmt: Any, staged: Dict[str, Expr], writable: str) -> None:
+    """Stage one statement's writes (an ``If`` merges its branches'
+    writes into ``Where`` nodes)."""
+    if isinstance(stmt, Store):
+        value = _staged(stmt.value, staged, writable)
+        if stmt.role != writable:
+            raise Unsupported(f"write to the {stmt.role} role")
+        if stmt.prop.startswith("_"):
             raise Unsupported("private property write")
-        staged[attr] = value
+        staged[stmt.prop] = value
+    elif isinstance(stmt, If):
+        cond = _staged(stmt.cond, staged, writable)
+        then, otherwise = dict(staged), dict(staged)
+        for inner in stmt.then:
+            _apply(inner, then, writable)
+        for inner in stmt.otherwise:
+            _apply(inner, otherwise, writable)
+        if set(then) != set(otherwise):
+            raise Unsupported("branches write different properties")
+        for prop in then:
+            a, b = then[prop], otherwise[prop]
+            staged[prop] = a if a == b else Where(cond, a, b)
+    else:
+        _need(stmt)
 
-    run(stmts, pending)
-    return _Body(pending, returned)
+
+def _run_body(entry: frontend.Lowered, writable: str) -> Tuple[Dict[str, Expr], Optional[str]]:
+    """The effect of one body: its staged writes in program order, and
+    which role parameter it returns."""
+    body = _body(entry)
+    pending: Dict[str, Expr] = {}
+    for i, stmt in enumerate(body):
+        if isinstance(stmt, Return):
+            if i != len(body) - 1:
+                raise Unsupported("early return")
+            if stmt.role is None and stmt.value is not None:
+                raise Unsupported("return of a non-parameter")
+            return pending, stmt.role
+        _apply(stmt, pending, writable)
+    return pending, None
 
 
-def _lower_predicate(
-    fn: Callable, roles: Tuple[str, ...]
-) -> Expr:
-    """Lower a pure single-``return`` predicate/filter (F or C)."""
-    stmts, env, resolve = _prepare(fn, roles)
-    meaningful = [
-        s for s in stmts
-        if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))
-    ]
-    if len(meaningful) != 1 or not isinstance(meaningful[0], ast.Return):
+def _predicate(entry: frontend.Lowered) -> Expr:
+    """A pure single-``return`` predicate/filter (F or C)."""
+    body = _body(entry)
+    if len(body) != 1 or not isinstance(body[0], Return):
         raise Unsupported("filter is not a single return")
-    value = meaningful[0].value
-    if value is None:
+    if body[0].value is None:
         raise Unsupported("filter returns nothing")
-    return Lowerer(env, resolve).lower(value)
+    return _need(body[0].value)
 
 
 def _prop_names(*exprs: Optional[Expr]) -> Tuple[str, ...]:
-    names = set()
-    for expr in exprs:
-        if expr is not None:
-            names |= {name for _role, name in reads(expr)}
-    return tuple(sorted(names))
+    return tuple(sorted({name for e in exprs if e is not None for _role, name in reads(e)}))
+
+
+def _explain(kernel: frontend.KernelEntry, synth) -> Tuple[Any, str]:
+    if kernel.synthesis is None:
+        try:
+            kernel.synthesis = (synth(kernel.slots), "ok")
+        except Unsupported as exc:
+            kernel.synthesis = (None, str(exc))
+    return kernel.synthesis
 
 
 # ---------------------------------------------------------------------------
@@ -347,35 +214,20 @@ def synthesize_vertex_spec(F, M) -> Optional[VertexMapSpec]:
 def explain_vertex(F, M) -> Tuple[Optional[VertexMapSpec], str]:
     """Like :func:`synthesize_vertex_spec` but also returns the refusal
     reason (``"ok"`` on success) — for plan artifacts."""
-    key = _cache_key("vertex", None if _is_ctrue(F) else F, M)
-    if key is not None and key in _cache:
-        return _cache[key]
-    try:
-        result: Tuple[Optional[VertexMapSpec], str] = (_synth_vertex(F, M), "ok")
-    except Unsupported as exc:
-        result = (None, str(exc))
-    if key is not None:
-        _cache[key] = result
-    return result
+    return _explain(frontend.kernel("vertex_map", F=F, M=M), _synth_vertex)
 
 
-def _synth_vertex(F, M) -> VertexMapSpec:
-    if _is_ctrue(F):
-        F = None
+def _synth_vertex(slots) -> VertexMapSpec:
+    F, M = _present(slots["F"]), slots["M"]
     if F is None and M is None:
         raise Unsupported("no user functions")
 
-    filter_expr: Optional[Expr] = None
-    if F is not None:
-        filter_expr = _lower_predicate(F, ("self",))
-
+    filter_expr = _predicate(F) if F is not None else None
     map_fn = None
     writes: Tuple[str, ...] = ()
     column_exprs: Dict[str, Expr] = {}
     if M is not None:
-        stmts, env, resolve = _prepare(M, ("self",))
-        body = _lower_body(stmts, env, resolve, writable="self")
-        column_exprs = body.pending
+        column_exprs, _returned = _run_body(M, "self")
         writes = tuple(column_exprs)
         col_fns = {
             prop: compile_vertex_column(expr)
@@ -407,55 +259,37 @@ def synthesize_edge_spec(kind: str, F, M, C, R) -> Optional[EdgeMapSpec]:
 
 def explain_edge(kind: str, F, M, C, R) -> Tuple[Optional[EdgeMapSpec], str]:
     mode = "dense" if kind == "edge_map_dense" else "sparse"
-    key = _cache_key(
-        kind,
-        None if _is_ctrue(F) else F,
-        M,
-        None if _is_ctrue(C) else C,
-        R if mode == "sparse" else None,
+    return _explain(
+        frontend.kernel(kind, F=F, M=M, C=C, R=R),
+        lambda slots: _synth_edge(mode, slots),
     )
-    if key is not None and key in _cache:
-        return _cache[key]
-    try:
-        result: Tuple[Optional[EdgeMapSpec], str] = (
-            _synth_edge(mode, F, M, C, R), "ok"
-        )
-    except Unsupported as exc:
-        result = (None, str(exc))
-    if key is not None:
-        _cache[key] = result
-    return result
 
 
 def _written_prop_expr(M) -> Tuple[Optional[str], Optional[Expr], Optional[str]]:
-    """Lower M and return ``(prop, value_expr, returned_role)``; a
+    """Match M and return ``(prop, value_expr, returned_role)``; a
     write-free M yields ``(None, None, role)``."""
-    stmts, env, resolve = _prepare(M, ("source", "target"))
-    body = _lower_body(stmts, env, resolve, writable="target")
-    if len(body.pending) > 1:
+    pending, returned = _run_body(M, "target")
+    if len(pending) > 1:
         raise Unsupported("M writes more than one property")
-    if not body.pending:
-        return None, None, body.returned
-    (prop, expr), = body.pending.items()
-    return prop, expr, body.returned
+    if not pending:
+        return None, None, returned
+    (prop, expr), = pending.items()
+    return prop, expr, returned
 
 
 def _self_combine(expr: Expr, prop: str) -> Optional[Tuple[str, Expr]]:
     """Match the running-combine forms over the written property:
     ``min/max(d.p, V)`` -> ``(op, V)``, ``d.p + V`` -> ``("sum", V)``.
     ``None`` when the expression is not such a form."""
-    target_read = Prop("target", prop)
     if isinstance(expr, MinMax) and len(expr.args) == 2:
-        a, b = expr.args
-        if a == target_read and (("target", prop) not in reads(b)):
-            return expr.op, b
-        if b == target_read and (("target", prop) not in reads(a)):
-            return expr.op, a
-    if isinstance(expr, Binary) and expr.op == "+":
-        if expr.left == target_read and (("target", prop) not in reads(expr.right)):
-            return "sum", expr.right
-        if expr.right == target_read and (("target", prop) not in reads(expr.left)):
-            return "sum", expr.left
+        op, pair = expr.op, expr.args
+    elif isinstance(expr, Binary) and expr.op == "+":
+        op, pair = "sum", (expr.left, expr.right)
+    else:
+        return None
+    for a, b in (pair, pair[::-1]):
+        if a == Prop("target", prop) and ("target", prop) not in reads(b):
+            return op, b
     return None
 
 
@@ -491,17 +325,13 @@ def _match_sentinel(cond_expr: Expr, prop: str) -> Optional[Any]:
 def _match_improve(f_expr: Expr, prop: str, value_expr: Expr) -> Optional[str]:
     """``E < d.prop`` / ``d.prop > E`` (with E the value expression) ->
     ``"min"``; the mirrored forms -> ``"max"``."""
-    target_read = Prop("target", prop)
-    if not isinstance(f_expr, Compare):
+    if not (isinstance(f_expr, Compare) and f_expr.op in ("<", ">")):
         return None
-    if f_expr.op == "<" and f_expr.left == value_expr and f_expr.right == target_read:
-        return "min"
-    if f_expr.op == ">" and f_expr.left == target_read and f_expr.right == value_expr:
-        return "min"
-    if f_expr.op == ">" and f_expr.left == value_expr and f_expr.right == target_read:
-        return "max"
-    if f_expr.op == "<" and f_expr.left == target_read and f_expr.right == value_expr:
-        return "max"
+    sides = (f_expr.left, f_expr.right)
+    if sides == (value_expr, Prop("target", prop)):
+        return "min" if f_expr.op == "<" else "max"
+    if sides == (Prop("target", prop), value_expr):
+        return "min" if f_expr.op == ">" else "max"
     return None
 
 
@@ -511,17 +341,16 @@ def _fold_pattern(R, m_prop: Optional[str]) -> Tuple[str, Optional[str], Optiona
     ``"min"``/``"max"``/``"sum"`` (combining folds), or ``"const"``
     (stages a constant).  ``prop`` is the property R writes (``None``
     for plain ``return t``)."""
-    stmts, env, resolve = _prepare(R, ("temp", "acc"))
-    body = _lower_body(stmts, env, resolve, writable="acc")
-    if not body.pending:
-        if body.returned == "temp":
+    pending, returned = _run_body(R, "acc")
+    if not pending:
+        if returned == "temp":
             return "last", None, None
         raise Unsupported("R neither writes nor keeps its temp")
-    if len(body.pending) > 1:
+    if len(pending) > 1:
         raise Unsupported("R writes more than one property")
-    if body.returned == "temp":
+    if returned == "temp":
         raise Unsupported("R writes the accumulator but returns its temp")
-    (prop, expr), = body.pending.items()
+    (prop, expr), = pending.items()
     acc_read = Prop("acc", prop)
     temp_read = Prop("temp", prop)
     if isinstance(expr, Const):
@@ -539,7 +368,9 @@ def _fold_pattern(R, m_prop: Optional[str]) -> Tuple[str, Optional[str], Optiona
     raise Unsupported("unrecognized reduce fold")
 
 
-def _synth_edge(mode: str, F, M, C, R) -> EdgeMapSpec:
+def _synth_edge(mode: str, slots) -> EdgeMapSpec:
+    M, R = slots["M"], slots["R"]
+    F, C = _present(slots["F"]), _present(slots["C"])
     if M is None:
         raise Unsupported("no map function")
     m_prop, m_expr, _m_ret = _written_prop_expr(M)
@@ -578,8 +409,8 @@ def _synth_edge(mode: str, F, M, C, R) -> EdgeMapSpec:
     # ---- condition -----------------------------------------------------
     cond_unvisited: Any = NOT_SET
     cond_expr: Optional[Expr] = None
-    if not _is_ctrue(C):
-        expr = _lower_predicate(C, ("target",))
+    if C is not None:
+        expr = _predicate(C)
         sentinel = _match_sentinel(expr, prop)
         provable_value = (
             value_expr
@@ -603,8 +434,8 @@ def _synth_edge(mode: str, F, M, C, R) -> EdgeMapSpec:
     # ---- edge filter ---------------------------------------------------
     f_spec: Any = None
     f_expr: Optional[Expr] = None
-    if not _is_ctrue(F):
-        expr = _lower_predicate(F, ("source", "target"))
+    if F is not None:
+        expr = _predicate(F)
         if mode == "dense" and ("target", prop) in reads(expr):
             improve = _match_improve(expr, prop, value_expr)
             if improve is None or improve != reduce_:
@@ -617,54 +448,17 @@ def _synth_edge(mode: str, F, M, C, R) -> EdgeMapSpec:
         raise Unsupported("no value expression")
     read_names = _prop_names(value_expr, cond_expr, f_expr)
     read_names = tuple(n for n in read_names if n != prop)
-    spec = EdgeMapSpec(
+    return EdgeMapSpec(
         prop=prop,
         reduce=reduce_,
-        value=compile_edge(_as_edge_expr(value_expr)),
+        value=compile_edge(value_expr),
         f=f_spec if f_spec is not None else (
             compile_edge(f_expr) if f_expr is not None else None
         ),
         cond_unvisited=cond_unvisited,
-        cond=compile_vertex(_cond_as_vertex(cond_expr)) if cond_expr is not None else None,
+        # C's target-role reads compile against the vertex batch of
+        # candidate targets (vertex leaves ignore the role)
+        cond=compile_vertex(cond_expr) if cond_expr is not None else None,
         only_mode=mode,
         reads=read_names,
     )
-    return spec
-
-
-def _as_edge_expr(expr: Expr) -> Expr:
-    """Value/filter expressions from R's fold reference the written
-    property through the ``temp``/``acc`` roles in some patterns; the
-    constant-fold case is the only one that survives to compilation, so
-    nothing to rewrite — kept as a seam for future fold forms."""
-    return expr
-
-
-def _cond_as_vertex(expr: Expr) -> Expr:
-    """C is lowered with the ``target`` role but compiled against a
-    ``VertexBatch`` of candidate targets — rewrite roles to ``self``."""
-    if isinstance(expr, Prop):
-        return Prop("self", expr.name)
-    if isinstance(expr, Special):
-        return Special("self", expr.attr)
-    if isinstance(expr, Compare):
-        return Compare(expr.op, _cond_as_vertex(expr.left), _cond_as_vertex(expr.right))
-    if isinstance(expr, Binary):
-        return Binary(expr.op, _cond_as_vertex(expr.left), _cond_as_vertex(expr.right))
-    if isinstance(expr, BoolOp):
-        return BoolOp(expr.op, tuple(_cond_as_vertex(op) for op in expr.operands))
-    if isinstance(expr, MinMax):
-        return MinMax(expr.op, tuple(_cond_as_vertex(a) for a in expr.args))
-    if isinstance(expr, Where):
-        return Where(
-            _cond_as_vertex(expr.cond),
-            _cond_as_vertex(expr.then),
-            _cond_as_vertex(expr.otherwise),
-        )
-    from repro.analysis.compile.exprs import Abs, Unary
-
-    if isinstance(expr, Unary):
-        return Unary(expr.op, _cond_as_vertex(expr.operand))
-    if isinstance(expr, Abs):
-        return Abs(_cond_as_vertex(expr.operand))
-    return expr

@@ -7,29 +7,33 @@ program for FLASH-model misuse before a single superstep runs.
 
 Layers
 ------
-:mod:`~repro.analysis.staticpass.ir`
-    The access-set IR (``FunctionAccess`` / ``KernelAccess``).
+:mod:`~repro.analysis.compile.frontend`
+    The one lowering of each user function (shared with the spec
+    synthesizer); every product below is read off it.
 :mod:`~repro.analysis.staticpass.analyzer`
-    AST/closure inspection turning user functions into the IR.
+    The access sets (``FunctionAccess`` / ``KernelAccess``) folded from
+    that lowering.
 :mod:`~repro.analysis.staticpass.tableii`
-    Table II over the IR: the critical-property classification, plus the
-    cross-check against the runtime trace oracle.
+    Table II over the access sets: the critical-property classification,
+    plus the cross-check against the runtime trace oracle.
 :mod:`~repro.analysis.staticpass.program`
     Ambient whole-program capture (nested engines included).
 :mod:`~repro.analysis.staticpass.lint`
     flashlint — the rule catalog behind ``repro lint``.
 :mod:`~repro.analysis.staticpass.speccheck`
-    Declared vectorized-spec access sets validated against the IR.
+    Declared vectorized-spec access sets validated against the analyzer.
 
 See ``docs/static_analysis.md`` for the full walkthrough.
 """
 
 from repro.analysis.staticpass.analyzer import (
+    Access,
+    FunctionAccess,
+    KernelAccess,
     clear_caches,
     function_access,
     kernel_access,
 )
-from repro.analysis.staticpass.ir import Access, FunctionAccess, KernelAccess
 from repro.analysis.staticpass.lint import (
     RULES,
     Finding,

@@ -1,672 +1,190 @@
-"""AST / closure inspection of FLASH user functions.
+"""Access sets of FLASH user functions, folded from the kernel front end.
 
-This is the reproduction of the code generator's *static* analysis
-(paper §IV-B): instead of observing a sample edge at runtime, the
-analyzer recovers each user function's source (through ``bind`` wrappers
-and closures), parses it, and collects every property access on every
-control-flow path, attributed to the vertex role each parameter plays.
+The code generator's *static* analysis (paper §IV-B): every vertex
+property access a user function may perform on **any** control-flow
+path, attributed to the *role* each vertex argument plays (``source`` /
+``target`` / ``self``).  The walk is the front end's one lowering
+(:mod:`repro.analysis.compile.frontend`), which the spec synthesizer
+reads too; a :class:`FunctionAccess` is the fold of that lowering's
+statements and ``Opaque`` facts, and a kernel's slots combine into a
+:class:`KernelAccess` — the unit Table II classification
+(:mod:`repro.analysis.staticpass.tableii`), spec validation and the
+:mod:`repro.analysis.staticpass.lint` rules operate on.
 
-What the pass understands:
-
-* attribute reads/writes on role-bound parameters (``d.dis = s.dis + 1``),
-  including augmented assignment and aliasing (``x = d`` keeps the role);
-* the :func:`~repro.algorithms.common.local_set` / ``local_list`` /
-  ``local_dict`` copy-on-write helpers (a read *and* a write of the
-  named property);
-* literal ``getattr`` / ``setattr`` / ``hasattr``;
-* reads through FLASHWARE's ``engine.get(...)`` views — arbitrary-vertex
-  reads, critical in every kernel kind (the code generator reaches the
-  same verdict from the ``get`` call site);
-* calls to other statically resolvable Python functions (closure or
-  module globals), analyzed interprocedurally with roles propagated
-  through positional arguments (bounded depth, recursion-safe);
-* mutation of captured globals (``nonlocal``/``global`` declarations,
-  in-place mutator calls and subscript stores on free names) — feeding
-  the :mod:`~repro.analysis.staticpass.lint` rules.
-
-Anything it cannot resolve — a dynamic ``getattr`` name, a role
-parameter escaping into an unresolvable callee, a function with no
-recoverable source — degrades soundly: the affected role is flagged
-*unknown* and the engine keeps the runtime sample tracer as the safety
-net for that kernel.
+This is a *may*-analysis, unlike the one-path sample tracer in
+:mod:`repro.core.analysis`.  Over-approximation is safe — a property
+synced without need costs messages, a property missed costs
+correctness.  Whatever the front end cannot resolve (a dynamic
+``getattr`` name, a role escaping into an unresolvable callee, a
+function with no recoverable source) flags the role *unknown*, and the
+engine keeps the sample tracer as that kernel's safety net.
 """
 
 from __future__ import annotations
 
-import ast
-import builtins
-import functools
-import linecache
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Set, Tuple
 
-from repro.analysis.staticpass.ir import SLOTS, FunctionAccess, KernelAccess
-from repro.core.vertex import RESERVED_ATTRIBUTES
+from repro.analysis.compile import frontend
 
-#: Attribute names that are not vertex properties.
-IGNORED_ATTRIBUTES = frozenset(RESERVED_ATTRIBUTES) | {"staged"}
+#: Kernel kinds the classification distinguishes (Table II rows).
+KERNEL_KINDS = ("vertex_map", "edge_map_dense", "edge_map_sparse")
 
-#: In-place mutator method names on collections — calling one on a
-#: captured name mutates shared state outside the BSP snapshot model.
-MUTATOR_METHODS = frozenset({
-    "append", "add", "update", "extend", "insert", "remove", "discard",
-    "pop", "popitem", "clear", "setdefault", "sort", "reverse",
-})
-
-#: Binary operators that are not commutative — a reduce writing the
-#: target from one of these over both of its (same-role) parameters is
-#: order-sensitive.
-_NONCOMMUTATIVE_OPS = (
-    ast.Sub, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.LShift,
-    ast.RShift, ast.MatMult,
-)
-
-#: Role signature per kernel slot (engine argument order).
-VERTEX_MAP_ROLES: Dict[str, Tuple[str, ...]] = {
-    "F": ("self",),
-    "M": ("self",),
-}
-EDGE_MAP_ROLES: Dict[str, Tuple[str, ...]] = {
-    "C": ("target",),
-    "F": ("source", "target"),
-    "M": ("source", "target"),
-    "R": ("target", "target"),
-}
-
-# ---------------------------------------------------------------------------
-# Source recovery
-# ---------------------------------------------------------------------------
-_tree_cache: Dict[str, Optional[ast.Module]] = {}
+#: One (role, property) access.
+Access = Tuple[str, str]
 
 
-def _module_tree(filename: str) -> Optional[ast.Module]:
-    """Parse (and cache) the module that defines a function.  Uses
-    ``linecache`` so sources registered by doctest/interactive frontends
-    resolve too; returns ``None`` when no source exists (C functions,
-    ``exec`` without a source hook)."""
-    if filename not in _tree_cache:
-        source = "".join(linecache.getlines(filename))
-        try:
-            _tree_cache[filename] = ast.parse(source) if source else None
-        except SyntaxError:  # pragma: no cover - partial/invalid cache entry
-            _tree_cache[filename] = None
-    return _tree_cache[filename]
+@dataclass
+class FunctionAccess:
+    """All property accesses one user function may perform."""
+
+    name: str = "<unknown>"
+    filename: str = ""
+    lineno: int = 0
+    #: Parameter names bound to vertex roles, in order.
+    param_names: Tuple[str, ...] = ()
+    #: (role, property) pairs that may be read / written on any path.
+    reads: Set[Access] = field(default_factory=set)
+    writes: Set[Access] = field(default_factory=set)
+    #: Properties read / written through ``engine.get(...)`` views —
+    #: arbitrary-vertex reads, critical in every kernel kind (a write is
+    #: a model violation: the view is read-only).
+    remote_reads: Set[str] = field(default_factory=set)
+    remote_writes: Set[str] = field(default_factory=set)
+    #: Roles whose accesses could not be fully resolved; any entry makes
+    #: the kernel's classification incomplete.
+    unknown_roles: Set[str] = field(default_factory=set)
+    #: True when no source/AST was recoverable at all.
+    unanalyzable: bool = False
+    #: Captured names the function mutates (``global`` / ``nonlocal``,
+    #: in-place mutation).
+    mutated_globals: Set[str] = field(default_factory=set)
+    #: Index of the bare role parameter a ``return <param>`` returns
+    #: (``return t`` in R keeps whichever temp arrives first).
+    returns_param: Optional[int] = None
+    #: Properties written from a non-commutative operator over two
+    #: parameters of the written role (R's are both the target).
+    noncomm_writes: Set[str] = field(default_factory=set)
+
+    def role_reads(self, role: str) -> Set[str]:
+        return {p for r, p in self.reads if r == role}
+
+    def role_writes(self, role: str) -> Set[str]:
+        return {p for r, p in self.writes if r == role}
+
+    @property
+    def complete(self) -> bool:
+        return not self.unanalyzable and not self.unknown_roles
+
+    @property
+    def location(self) -> str:
+        if not self.filename:
+            return self.name
+        return f"{self.name} ({self.filename}:{self.lineno})"
+
+
+@dataclass
+class KernelAccess:
+    """The combined access sets of one kernel's F/M/C/R functions."""
+
+    kind: str
+    #: Slot name -> FunctionAccess (``None`` for omitted slots).
+    slots: Dict[str, Optional[FunctionAccess]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.kind not in KERNEL_KINDS:
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+
+    def _union(self, attr: str) -> Set:
+        out: Set = set()
+        for fa in self.slots.values():
+            if fa is not None:
+                out |= getattr(fa, attr)
+        return out
+
+    @property
+    def reads(self) -> Set[Access]:
+        return self._union("reads")
+
+    @property
+    def writes(self) -> Set[Access]:
+        return self._union("writes")
+
+    @property
+    def remote_reads(self) -> Set[str]:
+        return self._union("remote_reads")
+
+    @property
+    def remote_writes(self) -> Set[str]:
+        return self._union("remote_writes")
+
+    @property
+    def unknown_roles(self) -> Set[str]:
+        return self._union("unknown_roles")
+
+    @property
+    def complete(self) -> bool:
+        """Whether every present slot was fully analyzed — only then is
+        the static classification sound on its own."""
+        return all(fa is None or fa.complete for fa in self.slots.values())
+
+    @property
+    def seen(self) -> Set[str]:
+        """Every property the kernel may touch (Table II's input set)."""
+        props = {p for _, p in self.reads | self.writes}
+        return props | self.remote_reads | self.remote_writes
 
 
 def clear_caches() -> None:
-    """Drop all memoized parses and analyses (tests re-defining
-    same-named functions via exec hooks may want a clean slate)."""
-    _tree_cache.clear()
-    _function_cache.clear()
-    _kernel_cache.clear()
+    """Drop all memoized parses, lowerings and analyses."""
+    frontend.clear()
 
 
-def _unwrap(fn: Callable) -> Tuple[Callable, int, Tuple[Any, ...]]:
-    """Peel ``bind``/``functools.wraps`` wrappers and ``partial``s.
-    Returns the innermost function, the number of *leading* positional
-    parameters pre-applied (``partial`` prepends), and the *trailing*
-    bound values (``bind`` appends, leaving the leading role parameters
-    untouched; nested binds append outermost-first, matching the call
-    order ``outer(*args) -> inner(*args, *outer_bound, *inner_bound)``)."""
-    leading = 0
-    trailing: Tuple[Any, ...] = ()
-    for _ in range(16):
-        if isinstance(fn, functools.partial):
-            leading += len(fn.args)
-            fn = fn.func
-        elif hasattr(fn, "__wrapped__"):
-            trailing = trailing + tuple(getattr(fn, "__flash_bound__", ()))
-            fn = fn.__wrapped__
-        else:
-            break
-    return fn, leading, trailing
+def _access(entry: frontend.Lowered) -> FunctionAccess:
+    """The lowering's FunctionAccess.  Lowerings with equal facts
+    (closures of one ``def`` differing only in a captured constant)
+    share one object, so a program capture sees one kernel."""
+    if entry.access is None:
+        facts = entry.facts
 
-
-def _find_def(tree: ast.Module, code) -> Optional[ast.AST]:
-    """Locate the AST node compiled into ``code``: a named def by name +
-    nearest line, a lambda by line + arity (ambiguous matches — two
-    same-arity lambdas on one line — resolve to ``None``, soundly)."""
-    if code.co_name != "<lambda>":
-        candidates = [
-            node for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == code.co_name
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda n: abs(n.lineno - code.co_firstlineno))
-    argcount = code.co_argcount
-    candidates = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Lambda)
-        and node.lineno == code.co_firstlineno
-        and len(node.args.args) == argcount
-    ]
-    if len(candidates) != 1:
-        return None
-    return candidates[0]
-
-
-def _resolve_name(fn: Callable, name: str) -> Tuple[bool, Any]:
-    """Resolve a free/global name in ``fn``'s environment.  Returns
-    ``(found, value)``."""
-    code = fn.__code__
-    if fn.__closure__ and name in code.co_freevars:
-        cell = fn.__closure__[code.co_freevars.index(name)]
-        try:
-            return True, cell.cell_contents
-        except ValueError:  # empty cell (still being defined)
-            return False, None
-    if name in getattr(fn, "__globals__", {}):
-        return True, fn.__globals__[name]
-    if hasattr(builtins, name):
-        return True, getattr(builtins, name)
-    return False, None
-
-
-def _is_engine(obj: Any) -> bool:
-    from repro.core.engine import FlashEngine  # local: avoids import cycle
-
-    return isinstance(obj, FlashEngine)
-
-
-def _bound_sig(value: Any) -> Any:
-    """What the analysis consults a bound value for: engine-ness and
-    callee identity.  Two binds agreeing on these produce identical
-    access sets, so they may share a memoization entry."""
-    if _is_engine(value):
-        return "engine"
-    code = getattr(value, "__code__", None)
-    if code is not None:
-        return code
-    return None
-
-
-def _is_local_helper(obj: Any, name: str) -> bool:
-    """Whether a callee is one of the ``local_set``/``local_list``/
-    ``local_dict`` copy-on-write helpers."""
-    if name not in ("local_set", "local_list", "local_dict"):
-        return False
-    module = getattr(obj, "__module__", "")
-    return obj is None or module.startswith("repro.")
-
-
-# ---------------------------------------------------------------------------
-# The AST visitor
-# ---------------------------------------------------------------------------
-class _FunctionVisitor(ast.NodeVisitor):
-    def __init__(
-        self,
-        fn: Callable,
-        acc: FunctionAccess,
-        env: Dict[str, str],
-        stack: Set[Any],
-        depth: int,
-        bound: Optional[Dict[str, Any]] = None,
-    ):
-        self.fn = fn
-        self.acc = acc
-        self.env = dict(env)  # name -> role
-        self.bound = dict(bound or {})  # param name -> bind()-supplied value
-        self.remote: Set[str] = set()  # names holding engine.get views
-        self.stack = stack
-        self.depth = depth
-        code = fn.__code__
-        self.local_names = set(code.co_varnames) | set(code.co_cellvars)
-        self.param_index = {name: i for i, name in enumerate(acc.param_names)}
-
-    # -- helpers -------------------------------------------------------
-    def _role_of(self, node: ast.AST) -> Optional[str]:
-        if isinstance(node, ast.Name):
-            return self.env.get(node.id)
-        return None
-
-    def _record_read(self, role: str, prop: str) -> None:
-        if prop not in IGNORED_ATTRIBUTES and not prop.startswith("_"):
-            self.acc.reads.add((role, prop))
-
-    def _record_write(self, role: str, prop: str) -> None:
-        if prop not in IGNORED_ATTRIBUTES and not prop.startswith("_"):
-            self.acc.writes.add((role, prop))
-
-    def _resolve(self, name: str) -> Tuple[bool, Any]:
-        """Resolve a non-role name: ``bind``-supplied parameter values
-        first, then the closure/global/builtin chain."""
-        if name in self.bound:
-            return True, self.bound[name]
-        return _resolve_name(self.fn, name)
-
-    def _is_engine_get_call(self, node: ast.AST) -> bool:
-        """``<engine>.get(x)`` — the FLASHWARE arbitrary-vertex read."""
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            return False
-        if node.func.attr != "get":
-            return False
-        base = node.func.value
-        if not isinstance(base, ast.Name) or base.id in self.env:
-            return False
-        found, obj = self._resolve(base.id)
-        if found:
-            return _is_engine(obj)
-        # Unresolvable receiver: fall back to the conventional names.
-        return base.id in ("eng", "engine")
-
-    def _captured(self, name: str) -> bool:
-        """A name referencing enclosing-scope or module state."""
-        return name not in self.local_names and name not in self.env
-
-    # -- statements ----------------------------------------------------
-    def visit_Global(self, node: ast.Global) -> None:
-        self.acc.mutated_globals.update(node.names)
-
-    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
-        self.acc.mutated_globals.update(node.names)
-
-    def _handle_store(self, target: ast.AST, value: Optional[ast.AST]) -> None:
-        if isinstance(target, ast.Attribute):
-            role = self._role_of(target.value)
-            if role is not None:
-                self._record_write(role, target.attr)
-                if value is not None:
-                    self._check_noncommutative(role, target.attr, value)
-                return
-            if isinstance(target.value, ast.Name) and target.value.id in self.remote:
-                self.acc.remote_writes.add(target.attr)
-                return
-            if self._is_engine_get_call(target.value):
-                self.acc.remote_writes.add(target.attr)
-                for arg in target.value.args:
-                    self.visit(arg)
-                return
-            self.visit(target.value)
-        elif isinstance(target, ast.Name):
-            name = target.id
-            if value is not None and isinstance(value, ast.Name) and value.id in self.env:
-                self.env[name] = self.env[value.id]
-                return
-            if value is not None and self._is_engine_get_call(value):
-                self.remote.add(name)
-                for arg in value.args:
-                    self.visit(arg)
-                return
-            # Rebinding away from a role/remote view.
-            self.env.pop(name, None)
-            self.remote.discard(name)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            elts_value = (
-                value.elts
-                if isinstance(value, (ast.Tuple, ast.List))
-                and len(value.elts) == len(target.elts)
-                else [None] * len(target.elts)
+        def make() -> FunctionAccess:
+            role = lambda r: frontend.ACCESS_ROLE.get(r, r)  # noqa: E731
+            return FunctionAccess(
+                name=entry.name, filename=entry.filename, lineno=entry.lineno,
+                param_names=entry.role_params,
+                reads={(role(r), p) for r, p in facts.reads},
+                writes={(role(r), p) for r, p in facts.writes},
+                remote_reads=set(facts.remote_reads),
+                remote_writes=set(facts.remote_writes),
+                unknown_roles={role(r) for r in facts.unknown_roles},
+                unanalyzable=entry.body is None,
+                mutated_globals=set(facts.mutated_globals),
+                returns_param=facts.returns_param,
+                noncomm_writes=set(facts.noncomm_writes),
             )
-            for t, v in zip(target.elts, elts_value):
-                self._handle_store(t, v)
-        elif isinstance(target, ast.Subscript):
-            if (
-                isinstance(target.value, ast.Name)
-                and self._captured(target.value.id)
-                and not target.value.id.startswith("__")
-            ):
-                found, obj = self._resolve(target.value.id)
-                if not found or not callable(obj):
-                    self.acc.mutated_globals.add(target.value.id)
-            self.visit(target.value)
-            self.visit(target.slice)
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self.visit(node.value)
-        for target in node.targets:
-            self._handle_store(target, node.value)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self.visit(node.value)
-            self._handle_store(node.target, node.value)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self.visit(node.value)
-        target = node.target
-        if isinstance(target, ast.Attribute):
-            role = self._role_of(target.value)
-            if role is not None:
-                self._record_read(role, target.attr)
-                self._record_write(role, target.attr)
-                return
-        self._handle_store(target, None)
-
-    def visit_Return(self, node: ast.Return) -> None:
-        if isinstance(node.value, ast.Name):
-            name = node.value.id
-            if name in self.env and name in self.param_index:
-                self.acc.returns_param = self.param_index[name]
-        if node.value is not None:
-            self.visit(node.value)
-
-    # -- expressions ---------------------------------------------------
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.ctx, ast.Load):
-            role = self._role_of(node.value)
-            if role is not None:
-                self._record_read(role, node.attr)
-                return
-            if isinstance(node.value, ast.Name) and node.value.id in self.remote:
-                if node.attr not in IGNORED_ATTRIBUTES:
-                    self.acc.remote_reads.add(node.attr)
-                return
-            if self._is_engine_get_call(node.value):
-                if node.attr not in IGNORED_ATTRIBUTES:
-                    self.acc.remote_reads.add(node.attr)
-                for arg in node.value.args:
-                    self.visit(arg)
-                return
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        handled_args = False
-        if isinstance(func, ast.Name):
-            handled_args = self._call_by_name(node, func.id)
-        elif isinstance(func, ast.Attribute):
-            handled_args = self._call_on_attribute(node, func)
-        if not handled_args:
-            for arg in node.args:
-                self._visit_call_arg(arg, resolved_opaque=False)
-            for kw in node.keywords:
-                self.visit(kw.value)
-
-    def _visit_call_arg(self, arg: ast.AST, resolved_opaque: bool) -> None:
-        """Visit one call argument; a bare role parameter escaping into
-        an unresolvable callee makes that role unknown (sound: the callee
-        could touch any property)."""
-        if isinstance(arg, ast.Name) and arg.id in self.env and not resolved_opaque:
-            self.acc.unknown_roles.add(self.env[arg.id])
-            return
-        self.visit(arg)
-
-    def _call_by_name(self, node: ast.Call, name: str) -> bool:
-        """Handle ``name(...)``.  Returns True when arguments were fully
-        handled here."""
-        found, obj = self._resolve(name)
-
-        # local_set(d, "prop") and friends: read + write of the property.
-        if _is_local_helper(obj if found else None, name):
-            if (
-                len(node.args) >= 2
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id in self.env
-            ):
-                role = self.env[node.args[0].id]
-                prop = node.args[1]
-                if isinstance(prop, ast.Constant) and isinstance(prop.value, str):
-                    self._record_read(role, prop.value)
-                    self._record_write(role, prop.value)
-                else:
-                    self.acc.unknown_roles.add(role)
-                return True
-            for arg in node.args:
-                self.visit(arg)
-            return True
-
-        # Literal getattr / setattr / hasattr on a role parameter.
-        if name in ("getattr", "hasattr", "setattr") and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Name) and first.id in self.env:
-                role = self.env[first.id]
-                prop = node.args[1] if len(node.args) > 1 else None
-                if isinstance(prop, ast.Constant) and isinstance(prop.value, str):
-                    if name == "setattr":
-                        self._record_write(role, prop.value)
-                    else:
-                        self._record_read(role, prop.value)
-                else:
-                    self.acc.unknown_roles.add(role)
-                for extra in node.args[2:]:
-                    self.visit(extra)
-                return True
-
-        if found and callable(obj):
-            if (
-                getattr(obj, "__module__", "") == "builtins"
-                or obj is getattr(builtins, name, None)
-            ):
-                # Builtins never read vertex properties.
-                for arg in node.args:
-                    self.visit(arg)
-                for kw in node.keywords:
-                    self.visit(kw.value)
-                return True
-            if (
-                hasattr(obj, "__code__")
-                or hasattr(obj, "__wrapped__")
-                or isinstance(obj, functools.partial)
-            ):
-                self._recurse_into(obj, node)
-                return True
-        return False
-
-    def _call_on_attribute(self, node: ast.Call, func: ast.Attribute) -> bool:
-        base = func.value
-        # Method call on a role parameter: runtime resolves the name as a
-        # property read, then calls the value.
-        if isinstance(base, ast.Name) and base.id in self.env:
-            role = self.env[base.id]
-            self._record_read(role, func.attr)
-            for arg in node.args:
-                self.visit(arg)
-            return True
-        if isinstance(base, ast.Name):
-            name = base.id
-            found, obj = self._resolve(name)
-            if found and _is_engine(obj):
-                # engine.get handled by the Attribute/Assign visitors; a
-                # bare call (or charge/subset/...) just evaluates args.
-                for arg in node.args:
-                    self.visit(arg)
-                return True
-            # In-place mutation of a captured collection.
-            if (
-                self._captured(name)
-                and func.attr in MUTATOR_METHODS
-                and not (found and callable(obj))
-            ):
-                self.acc.mutated_globals.add(name)
-        self.visit(base)
-        for arg in node.args:
-            self.visit(arg)
-        for kw in node.keywords:
-            self.visit(kw.value)
-        return True
-
-    def _recurse_into(self, callee: Callable, node: ast.Call) -> None:
-        """Interprocedural step: analyze a resolvable callee with roles
-        propagated through positional arguments."""
-        if self.depth >= 8:
-            for arg in node.args:
-                self._visit_call_arg(arg, resolved_opaque=False)
-            return
-        inner, _leading, _trailing = _unwrap(callee)
-        code = getattr(inner, "__code__", None)
-        if code is None:
-            for arg in node.args:
-                self._visit_call_arg(arg, resolved_opaque=False)
-            return
-        callee_roles: List[Optional[str]] = [self._role_of(arg) for arg in node.args]
-        if code in self.stack:
-            # Recursive call: the body is already being accounted once.
-            for arg in node.args:
-                if not (isinstance(arg, ast.Name) and arg.id in self.env):
-                    self.visit(arg)
-            return
-        sub = function_access(
-            callee, tuple(callee_roles), _stack=self.stack, _depth=self.depth + 1
-        )
-        self.acc.reads |= sub.reads
-        self.acc.writes |= sub.writes
-        self.acc.remote_reads |= sub.remote_reads
-        self.acc.remote_writes |= sub.remote_writes
-        self.acc.unknown_roles |= sub.unknown_roles
-        self.acc.mutated_globals |= sub.mutated_globals
-        if sub.unanalyzable:
-            for role in callee_roles:
-                if role is not None:
-                    self.acc.unknown_roles.add(role)
-        # Argument *expressions* still evaluate at the call site.
-        for arg in node.args:
-            if not (isinstance(arg, ast.Name) and arg.id in self.env):
-                self.visit(arg)
-        for kw in node.keywords:
-            self.visit(kw.value)
-
-    # -- nested scopes -------------------------------------------------
-    def _visit_nested(self, node, params: Sequence[ast.arg]) -> None:
-        shadowed = {a.arg for a in params}
-        saved = self.env
-        self.env = {k: v for k, v in saved.items() if k not in shadowed}
-        body = node.body if isinstance(node.body, list) else [node.body]
-        for stmt in body:
-            self.visit(stmt)
-        self.env = saved
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_nested(node, node.args.args)
-
-    def visit_AsyncFunctionDef(self, node) -> None:  # pragma: no cover
-        self._visit_nested(node, node.args.args)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._visit_nested(node, node.args.args)
-
-    # -- reduce-order sensitivity --------------------------------------
-    def _check_noncommutative(self, role: str, prop: str, value: ast.AST) -> None:
-        """Flag ``<param_a>.prop <noncomm-op> <param_b>.prop`` writes
-        where both parameters share the written role (R's two parameters
-        are both the target: order of arrival changes the result)."""
-        has_op = any(
-            isinstance(sub, ast.BinOp) and isinstance(sub.op, _NONCOMMUTATIVE_OPS)
-            for sub in ast.walk(value)
-        )
-        if not has_op:
-            return
-        involved = {
-            sub.value.id
-            for sub in ast.walk(value)
-            if isinstance(sub, ast.Attribute)
-            and isinstance(sub.value, ast.Name)
-            and self.env.get(sub.value.id) == role
-        }
-        if len(involved) >= 2:
-            self.acc.noncomm_writes.add(prop)
+        key = (entry.code or entry.name, entry.roles, entry.role_params, facts)
+        entry.access = frontend.intern(key, make)
+    return entry.access
 
 
-# ---------------------------------------------------------------------------
-# Entry points (memoized)
-# ---------------------------------------------------------------------------
-_function_cache: Dict[Tuple, FunctionAccess] = {}
-_kernel_cache: Dict[Tuple, KernelAccess] = {}
+def function_access(fn: Callable, roles: Tuple[Optional[str], ...]) -> FunctionAccess:
+    """The :class:`FunctionAccess` of ``fn`` with its leading positional
+    parameters bound to ``roles`` (``None`` entries are non-vertex
+    parameters: ``bind``-supplied values, prepended ``partial``
+    arguments)."""
+    return _access(frontend.lower(fn, roles))
 
 
-def _cache_key(fn: Callable) -> Any:
-    inner, leading, trailing = _unwrap(fn)
-    code = getattr(inner, "__code__", None)
-    if code is None:
-        return inner
-    return (code, leading, tuple(_bound_sig(v) for v in trailing))
+def access_of(entry: frontend.KernelEntry) -> KernelAccess:
+    """The kernel entry's :class:`KernelAccess` (memoised on it)."""
+    if entry.access is None:
+        slots = {s: e and _access(e) for s, e in entry.slots.items()}
+        key = (entry.kind,) + tuple(id(fa) for fa in slots.values())
+        entry.access = frontend.intern(key, lambda: KernelAccess(entry.kind, slots))
+    return entry.access
 
 
-def function_access(
-    fn: Callable,
-    roles: Tuple[Optional[str], ...],
-    _stack: Optional[Set[Any]] = None,
-    _depth: int = 0,
-) -> FunctionAccess:
-    """Compute (and memoize) the :class:`FunctionAccess` of ``fn`` with
-    its leading positional parameters bound to ``roles``.  ``None``
-    entries are non-vertex parameters (``bind``-supplied globals,
-    prepended ``partial`` arguments)."""
-    key = (_cache_key(fn), tuple(roles))
-    cached = _function_cache.get(key)
-    if cached is not None:
-        return cached
-
-    inner, leading, trailing = _unwrap(fn)
-    code = getattr(inner, "__code__", None)
-    acc = FunctionAccess(name=getattr(inner, "__name__", type(inner).__name__))
-    if code is None:
-        acc.unanalyzable = True
-        acc.unknown_roles |= {r for r in roles if r is not None}
-        _function_cache[key] = acc
-        return acc
-
-    acc.filename = code.co_filename
-    acc.lineno = code.co_firstlineno
-    tree = _module_tree(code.co_filename)
-    node = _find_def(tree, code) if tree is not None else None
-    if node is None:
-        acc.unanalyzable = True
-        acc.unknown_roles |= {r for r in roles if r is not None}
-        _function_cache[key] = acc
-        return acc
-
-    params = [a.arg for a in node.args.args]
-    # ``partial`` pre-applies leading parameters (role-less), ``bind``
-    # appends trailing ones — the caller's roles describe the wrapper's
-    # own positional parameters, which start after the pre-applied ones.
-    full_roles: List[Optional[str]] = [None] * leading + list(roles)
-    env: Dict[str, str] = {}
-    param_names: List[str] = []
-    for i, name in enumerate(params):
-        role = full_roles[i] if i < len(full_roles) else None
-        if role is not None:
-            env[name] = role
-            param_names.append(name)
-    acc.param_names = tuple(param_names)
-    # bind()-supplied values fill the last parameters; resolving them to
-    # their concrete objects lets the pass recognize e.g. a bound engine.
-    bound_env: Dict[str, Any] = {}
-    if trailing:
-        tail = params[max(len(params) - len(trailing), 0):]
-        bound_env = dict(zip(tail, trailing[-len(tail):] if tail else ()))
-
-    stack = _stack if _stack is not None else set()
-    stack.add(code)
-    try:
-        visitor = _FunctionVisitor(inner, acc, env, stack, _depth, bound=bound_env)
-        if isinstance(node, ast.Lambda):
-            # A lambda's body is its return expression.
-            visitor.visit_Return(ast.Return(value=node.body))
-        else:
-            for stmt in node.body:
-                visitor.visit(stmt)
-    finally:
-        stack.discard(code)
-    _function_cache[key] = acc
-    return acc
-
-
-def kernel_access(
-    kind: str,
-    F: Optional[Callable] = None,
-    M: Optional[Callable] = None,
-    C: Optional[Callable] = None,
-    R: Optional[Callable] = None,
-) -> KernelAccess:
-    """Analyze one kernel's user-function slots into a
-    :class:`KernelAccess` (memoized per code objects + kind)."""
-    fns = {"F": F, "M": M, "C": C, "R": R}
-    key = (kind,) + tuple(
-        _cache_key(fn) if fn is not None else None for fn in fns.values()
-    )
-    cached = _kernel_cache.get(key)
-    if cached is not None:
-        return cached
-
-    role_map = VERTEX_MAP_ROLES if kind == "vertex_map" else EDGE_MAP_ROLES
-    slots: Dict[str, Optional[FunctionAccess]] = {}
-    for slot in SLOTS:
-        fn = fns.get(slot)
-        if fn is None or slot not in role_map:
-            slots[slot] = None
-            continue
-        slots[slot] = function_access(fn, role_map[slot])
-    ka = KernelAccess(kind=kind, slots=slots)
-    _kernel_cache[key] = ka
-    return ka
+def kernel_access(kind: str, F=None, M=None, C=None, R=None) -> KernelAccess:
+    """Analyze one kernel's user-function slots into a :class:`KernelAccess`."""
+    return access_of(frontend.kernel(kind, F=F, M=M, C=C, R=R))

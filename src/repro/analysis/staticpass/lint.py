@@ -6,38 +6,12 @@ run it once on a small graph under :func:`capture_program` and evaluate
 the rules.  ``repro lint <app|--all>`` does that for the shipped
 applications; tests do it for synthetic kernels.
 
-Rule catalog (see ``docs/static_analysis.md`` for the full walkthrough):
-
-=======================  ========  ==================================================
-rule id                  severity  fires when
-=======================  ========  ==================================================
-write-to-source          error     an edge kernel writes a source-role property, or
-                                   any kernel writes through a read-only ``get`` view
-unguarded-target-write   warning   an edge kernel writes the target in ``F`` or ``C``
-                                   (outside the condition-guarded map path ``M``)
-read-never-written       error /   a kernel reads a property no engine ever declared
-                         warning   (error), or one that is declared with a ``None``
-                                   default and never written by any kernel (warning)
-noncommutative-reduce    warning   ``R`` combines its two temps with a
-                                   non-commutative operator, or returns its first
-                                   temp unchanged (arrival order decides the result)
-                                   — suppressed when the kernel's registered spec
-                                   declares ``reduce="last"`` (the order dependence
-                                   is then the documented contract)
-global-mutation          error     a user function mutates captured enclosing-scope
-                                   or module state instead of using ``bind``
-unsynced-read            warning   a kernel's analysis is incomplete (no recoverable
-                                   source, or a role escaping resolution), so reads
-                                   may observe unsynced mirror state; the engine
-                                   falls back to the runtime sample tracer for it
-sync-of-never-written    error     a property is classified critical (mirror-synced)
-                                   but no kernel ever writes it and its default is
-                                   ``None`` — every sync ships a value that cannot
-                                   exist, so the read is a latent typo
-cross-partition-         error     a sparse kernel writes a target property its
-unplanned-write                    classification did not mark critical — the
-                                   cross-partition write would never be synced back
-=======================  ========  ==================================================
+The rule catalog is :data:`RULES` (rendered by ``repro lint --rules``;
+``docs/static_analysis.md`` "flashlint" walks through each rule).  The
+per-kernel facts the rules read — writes per role, ``get``-view writes,
+mutated captured names, non-commutative or first-temp reduces,
+completeness — are folded from the kernel front end's one lowering
+(:mod:`repro.analysis.compile.frontend`).
 
 Severities: *errors* are model violations that break on a real cluster
 (the simulator often masks them because property storage is physically
@@ -50,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.analysis.staticpass.ir import FunctionAccess, KernelAccess
+from repro.analysis.staticpass.analyzer import FunctionAccess, KernelAccess
 from repro.analysis.staticpass.program import ProgramCapture, capture_program
 
 ERROR = "error"

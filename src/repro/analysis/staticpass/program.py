@@ -10,7 +10,7 @@ classification to every active collector, whichever engine issued it::
 
     with capture_program() as prog:
         bfs(graph, root=0)
-    findings = lint_program(prog)
+    findings = lint_capture(prog)
 
 Capture costs nothing when inactive — the dispatcher checks a single
 module-level list before building a report.
@@ -60,6 +60,8 @@ class ProgramCapture:
         #: fallbacks, trace disagreements under ``analysis="check"``).
         self.diagnostics: List[str] = []
         self._by_key: Dict[Tuple, KernelReport] = {}
+        #: engine id -> its flashware, held so ids stay unique while capturing
+        self.live: Dict[int, Any] = {}
 
     def add(self, report: KernelReport) -> None:
         # Iterative programs re-issue the same kernel hundreds of times;
@@ -81,17 +83,6 @@ class ProgramCapture:
         for report in self.reports:
             grouped.setdefault(report.engine_id, []).append(report)
         return grouped
-
-    def describe(self) -> List[dict]:
-        return [
-            {
-                "kind": r.kind,
-                "label": r.label,
-                "engine": r.engine_id,
-                **r.classification.describe(),
-            }
-            for r in self.reports
-        ]
 
 
 def capturing() -> bool:
@@ -128,6 +119,7 @@ def record(
         spec=spec,
     )
     for collector in _collectors:
+        collector.live.setdefault(report.engine_id, engine.flashware)
         collector.add(report)
 
 

@@ -1,18 +1,11 @@
 """Validate declared spec access sets against the static analyzer.
 
 Vectorized kernel specs (:mod:`repro.runtime.vectorized.specs`) are
-optimization *hints*: the interpreted F/M/C/R callables stay the source
-of truth.  That makes a divergent spec a silent performance-or-semantics
-hazard — the spec path would compute something the callables don't.
-With the static analyzer in place the engine can cross-check the two:
-every property the callables may write or read must be covered by the
-spec's declared access sets.  Mismatches don't change execution (the
-hint is still applied exactly as before); they surface as engine
-diagnostics, the same channel static-fallback and trace-disagreement
-notes use.
-
-Only *under*-declaration is reported.  A spec declaring more than the
-analyzer found is harmless — declared sets are upper bounds the
+optimization *hints*; the interpreted F/M/C/R callables stay the source
+of truth, so every property they may read or write must be covered by
+the spec's declared access sets.  A mismatch does not change execution;
+it surfaces as an engine diagnostic, once per kernel plan.  Only
+*under*-declaration is reported — declared sets are upper bounds the
 dispatcher uses for column checks.
 """
 
@@ -31,13 +24,9 @@ def _blame(access, prop: str, attr: str) -> Optional[str]:
         if fa is None:
             continue
         props = getattr(fa, attr)
-        touched = {p for _, p in props} if props and isinstance(
-            next(iter(props)), tuple
-        ) else set(props)
-        if prop in touched:
-            if fa.filename:
-                return f"{slot} at {fa.filename}:{fa.lineno}"
-            return f"{slot} in {fa.name}"
+        if prop in (props if attr == "remote_reads" else {p for _, p in props}):
+            where = f"at {fa.filename}:{fa.lineno}" if fa.filename else f"in {fa.name}"
+            return f"{slot} {where}"
     return None
 
 

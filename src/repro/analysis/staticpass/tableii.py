@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
-from repro.analysis.staticpass.ir import KERNEL_KINDS, KernelAccess
+from repro.analysis.compile import frontend
+from repro.analysis.staticpass.analyzer import KernelAccess, access_of
 
 
 @dataclass
@@ -41,18 +42,10 @@ class StaticClassification:
         safety net for this kernel."""
         return self.access.complete
 
-    def describe(self) -> dict:
-        out = self.access.describe()
-        out["critical"] = sorted(self.critical)
-        out["seen"] = sorted(self.seen)
-        return out
-
 
 def classify_kernel(access: KernelAccess) -> StaticClassification:
     """Derive the critical-property set of one kernel from its access
     sets, per Table II."""
-    if access.kind not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {access.kind!r}")
     critical: Set[str] = set()
     if access.kind == "edge_map_dense":
         critical |= {p for role, p in access.reads if role == "source"}
@@ -66,18 +59,16 @@ def classify_kernel(access: KernelAccess) -> StaticClassification:
     )
 
 
-def analyze_kernel(
-    kind: str,
-    F=None,
-    M=None,
-    C=None,
-    R=None,
-) -> StaticClassification:
+def analyze_kernel(kind: str, F=None, M=None, C=None, R=None) -> StaticClassification:
     """One-call entry point: analyze the kernel's user functions and
-    classify the result (both layers memoize)."""
-    from repro.analysis.staticpass.analyzer import kernel_access
-
-    return classify_kernel(kernel_access(kind, F=F, M=M, C=C, R=R))
+    classify the result (memoised on the kernel's front-end entry)."""
+    entry = frontend.kernel(kind, F=F, M=M, C=C, R=R)
+    if entry.classification is None:
+        access = access_of(entry)
+        entry.classification = frontend.intern(
+            ("classification", id(access)), lambda: classify_kernel(access)
+        )
+    return entry.classification
 
 
 def cross_check(
@@ -94,19 +85,12 @@ def cross_check(
     Returns a human-readable description of the disagreement, or
     ``None`` when the static sets cover the trace.
     """
-    missed_critical = traced_critical - static.critical
-    missed_seen = traced_seen - static.seen
-    if not missed_critical and not missed_seen:
-        return None
-    parts = []
-    if missed_critical:
-        parts.append(
-            "trace-critical properties missed by the static pass: "
-            + ", ".join(sorted(missed_critical))
+    missed = [
+        f"trace-{what} properties missed by the static pass: " + ", ".join(sorted(props))
+        for what, props in (
+            ("critical", traced_critical - static.critical),
+            ("seen", traced_seen - static.seen),
         )
-    if missed_seen:
-        parts.append(
-            "trace-seen properties missed by the static pass: "
-            + ", ".join(sorted(missed_seen))
-        )
-    return f"{static.kind}: " + "; ".join(parts)
+        if props
+    ]
+    return f"{static.kind}: " + "; ".join(missed) if missed else None

@@ -1,58 +1,33 @@
 """Critical-property analysis — the code generator's static analysis
 (paper §IV-B/§IV-C, Table II).
 
-The real FLASH compiler inspects the generated code to classify every
-property access as ``get``/``put`` on the ``source``/``target`` of each
-kernel, then applies Table II: a property is *critical* (must be synced
-to mirrors) iff it is
+The real FLASH compiler classifies every property access of the
+generated code as ``get``/``put`` on the ``source``/``target`` of each
+kernel and applies Table II: a property is *critical* (must be synced
+to mirrors) iff it is ``get`` as the **source** property of an
+``EDGEMAPDENSE``, or ``get``/``put`` as the **target** property of an
+``EDGEMAPSPARSE``.
 
-* ``get`` as the **source** property of an ``EDGEMAPDENSE``, or
-* ``get``/``put`` as the **target** property of an ``EDGEMAPSPARSE``.
+This module is the engine-side dispatcher between the two
+reproductions of that analysis, per engine (``FlashEngine(analysis=...)``)
+or ambiently (:func:`use_analysis`; docs/static_analysis.md "Analysis
+modes"):
 
-This module is the engine-side dispatcher between the two reproductions
-of that analysis:
-
-``static`` (the default)
-    The ahead-of-time pass (:mod:`repro.analysis.staticpass`): user
-    functions are recovered from source and analyzed over **all**
-    control-flow branches, so the critical set is complete before the
-    kernel's first superstep.  When a kernel resists analysis (no
-    recoverable source, a dynamic access the AST pass cannot resolve)
-    the runtime tracer below takes over for that kernel and the engine
-    records a diagnostic.
-
-``trace``
-    The original runtime approximation: before a kernel's main loop, its
-    user functions run once against recording views on a sample edge and
-    the recorded events are classified by the same table.  Writes during
-    tracing are discarded, and tracing charges no ops (analysis is not
-    user work).  Branch-dependent accesses may be missed on the sample —
-    the limitation any single-path abstract interpretation has; the
-    engine's ``get`` handle additionally promotes properties read
-    remotely at runtime, see :meth:`repro.core.engine.FlashEngine.get`.
-
-``check``
-    Both: the static sets are applied, then the trace runs as a
-    cross-check oracle.  A sound static pass covers everything the trace
-    observes; anything the trace sees that the static pass missed is
-    surfaced as an engine diagnostic.
-
-``compile``
-    The static kernel compiler (:mod:`repro.analysis.compile`): the
-    ahead-of-time pass runs exactly as under ``static``, and on top of
-    it (1) analyzable F/M/C/R functions are compiled into vectorized
-    kernel specs automatically (per-kernel fallback to interp when any
-    slot resists), and (2) the per-kernel read/write sets feed a
-    :class:`~repro.analysis.compile.commplan.CommunicationPlan` that the
-    mp executor uses to withhold mirror deltas no kernel can read.
-
-``off``
-    No analysis (``FlashEngine(auto_analyze=False)``) — nothing is ever
-    marked critical.
-
-The mode is per-engine (``FlashEngine(analysis=...)``), defaulting to
-the ambient mode set with :func:`use_analysis` — mirroring how nested
-engines inherit the ambient backend.
+* ``static`` (default): the ahead-of-time pass
+  (:mod:`repro.analysis.staticpass`) over all control-flow branches;
+  a kernel it reports incomplete falls back to the runtime tracer, with
+  a diagnostic;
+* ``trace``: the user functions run once against recording views on a
+  sample edge (writes discarded, no ops charged) and the events are
+  classified by the same table — branch-dependent accesses may be
+  missed, which the engine's ``get`` handle patches by promoting
+  remotely read properties at runtime;
+* ``check``: static sets applied, then the trace as a cross-check
+  oracle — anything the trace observes that the static pass missed
+  becomes a diagnostic;
+* ``compile``: ``static`` plus spec synthesis and the communication plan
+  (:mod:`repro.analysis.compile`);
+* ``off``: no analysis (``FlashEngine(auto_analyze=False)``).
 """
 
 from __future__ import annotations
@@ -159,9 +134,8 @@ def _run_traced(fn: Optional[Callable], args: tuple) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The static pass (lazy import: repro.analysis.staticpass pulls in the
-# engine for get-view detection, so the dependency must stay one-way at
-# import time)
+# The static pass (imported lazily: repro.analysis.staticpass pulls in the
+# engine for get-view detection, and ``import repro`` loads no analysis)
 # ---------------------------------------------------------------------------
 _staticpass = None
 
@@ -328,8 +302,7 @@ def _cross_check(engine, static_res, traced_critical, traced_seen, label) -> Non
     """Under ``analysis="check"``: compare trace oracle vs static pass
     and surface soundness disagreements (trace saw something static
     missed) as diagnostics."""
-    sp = _get_staticpass()
-    disagreement = sp.cross_check(static_res, traced_critical, traced_seen)
+    disagreement = _get_staticpass().cross_check(static_res, traced_critical, traced_seen)
     if disagreement is not None:
         engine.note_diagnostic(
             f"static/trace disagreement on {label or static_res.kind}: {disagreement}"

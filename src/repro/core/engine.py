@@ -110,6 +110,7 @@ class _KernelPlan(NamedTuple):
     key: tuple
     spec: Any
     origin: Optional[str]
+    reason: Optional[str]  # why no synthesized spec (``repro plan``)
     critical: FrozenSet[str]
     attribution: Dict[str, str]  # the superstep span's mode and F/M/C/R
 
@@ -350,33 +351,39 @@ class FlashEngine:
     def _compile_spec(self, kind, spec, edges, F, M, C, R):
         """Under ``analysis="compile"`` on a columnar backend, fill a
         missing spec (or, under ``_synth_force``, replace the hand one)
-        with a synthesized spec.  Returns ``(spec, origin)`` where origin
-        is ``"hand"``, ``"synthesized"`` or ``None`` (interp).  Edge
+        with a synthesized spec.  Returns ``(spec, origin, reason)``
+        where origin is ``"hand"``, ``"synthesized"`` or ``None``
+        (interp) and reason says why synthesis gave no spec.  Edge
         synthesis only applies to the plain edge set ``E`` — constructed
         edge sets never dispatch columnar anyway."""
         hand = "hand" if spec is not None else None
         if self.analysis != "compile" or self._col is None:
-            return spec, hand
+            return spec, hand, None
+        if edges is not None and type(edges) is not BaseEdges:
+            return spec, hand, f"edge set is not E ({type(edges).__name__})"
         if spec is not None and not self._synth_force:
-            return spec, hand
+            return spec, hand, None
         from repro.analysis.compile import synthesize
 
         if edges is None:
-            synth = synthesize.synthesize_vertex_spec(F, M)
-        elif type(edges) is BaseEdges:
-            synth = synthesize.synthesize_edge_spec(kind, F, M, C, R)
+            synth, reason = synthesize.explain_vertex(F, M)
         else:
-            synth = None
+            synth, reason = synthesize.explain_edge(kind, F, M, C, R)
         if synth is not None:
-            return synth, "synthesized"
-        return spec, hand
+            return synth, "synthesized", None
+        return spec, hand, reason
 
-    def _note_plan(self, kind, label, origin, spec, dispatched) -> None:
+    def _note_plan(self, kind, label, plan, spec, dispatched) -> None:
         """Record one kernel's dispatch decision for the plan artifact
         (``repro plan`` / ``dist_summary``); adaptive kernels may visit
-        both modes, so ``dispatched`` accumulates."""
+        both modes, so ``dispatched`` accumulates, and ``reason`` says
+        why a kernel that never dispatched columnar stayed interpreted."""
         if self.analysis != "compile":
             return
+        origin = plan.origin
+        reason = None if dispatched else (
+            plan.reason or (f"{origin} spec declined" if spec is not None else "no spec")
+        )
         key = f"{kind}:{label or '-'}"
         entry = self.kernel_plan.get(key)
         if entry is None:
@@ -389,9 +396,14 @@ class FlashEngine:
                 "origin": origin,
                 "dispatched": bool(dispatched),
                 "writes": writes,
+                "reason": reason,
             }
         else:
             entry["dispatched"] = entry["dispatched"] or bool(dispatched)
+            if entry["dispatched"]:
+                entry["reason"] = None
+            elif entry["reason"] is None:
+                entry["reason"] = reason
             if entry["origin"] is None and origin is not None:
                 entry["origin"] = origin
                 if spec is not None:
@@ -407,7 +419,7 @@ class FlashEngine:
         supersteps — complete and static under ``static`` / ``compile``,
         outside a program capture (elsewhere the re-run is the point)."""
         F, M, C, R, hand = key[:5]
-        spec, origin = self._compile_spec(kind, hand, edges, F, M, C, R)
+        spec, origin, reason = self._compile_spec(kind, hand, edges, F, M, C, R)
         if edges is None:
             verdict = analyze_vertex_map(self, subset, F, M, label=label, spec=spec)
         else:
@@ -417,7 +429,8 @@ class FlashEngine:
         attribution = {"mode": mode} if mode else {}
         attribution.update((name, fn_label(fn)) for name, fn in fns.items())
         plan = _KernelPlan(
-            key, spec, origin, frozenset(verdict.critical if verdict else ()), attribution
+            key, spec, origin, reason, frozenset(verdict.critical if verdict else ()),
+            attribution,
         )
         if (
             self.analysis in ("static", "compile")
@@ -476,7 +489,7 @@ class FlashEngine:
             use_col = col.supports_vertex_map(fw.state, spec, F, M)
         else:
             use_col = col.supports_edge_map(fw.state, edges, spec, mode, F, C)
-        self._note_plan(kind, label, plan.origin, spec, use_col)
+        self._note_plan(kind, label, plan, spec, use_col)
         backend = col.name if use_col else "interp"
         self.metrics.note_backend(backend)
         fw.annotate_span(backend=backend)
