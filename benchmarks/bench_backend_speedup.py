@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro import random_graph
 from repro.algorithms import bfs, cc_basic, kcore_basic, lpa, pagerank, sssp
-from repro.runtime.vectorized import use_backend
+from repro.core.config import use_config
 
 APPS = {
     "cc": lambda g, w: cc_basic(g, num_workers=w),
@@ -37,7 +37,7 @@ def _time(runner, graph, workers, backend, repeats):
     best = None
     result = None
     for _ in range(repeats):
-        with use_backend(backend):
+        with use_config(backend=backend):
             start = time.perf_counter()
             result = runner(graph, workers)
             elapsed = time.perf_counter() - start

@@ -44,9 +44,9 @@ import numpy as np  # noqa: E402
 from _rss import RssSampler, current_rss_bytes  # noqa: E402
 from repro import random_graph  # noqa: E402
 from repro.algorithms import bfs, cc_basic, pagerank  # noqa: E402
+from repro.core.config import use_config  # noqa: E402
 from repro.core.engine import FlashEngine  # noqa: E402
 from repro.graph.blocks import BlockGraph, build_block_store_streamed  # noqa: E402
-from repro.runtime.oocore import use_oocore  # noqa: E402
 from repro.suite import run_app  # noqa: E402
 
 MiB = 1024 * 1024
@@ -61,7 +61,7 @@ def run_parity(workers: int) -> dict:
     for app in ("bfs", "cc"):
         vec = run_app("flash", app, graph, num_workers=workers,
                       backend="vectorized")
-        with use_oocore(interval=64):
+        with use_config(oocore_interval=64):
             ooc = run_app("flash", app, graph, num_workers=workers,
                           backend="oocore")
         vec_summary = vec.metrics.summary()
@@ -77,10 +77,9 @@ def run_parity(workers: int) -> dict:
                       "summary_equal": summary_equal, **io})
     # Float sums fold per-target in in-CSR source order on both
     # backends, so PageRank must be equal to the last bit.
-    from repro.runtime.vectorized import use_backend
-    with use_backend("vectorized"):
+    with use_config(backend="vectorized"):
         a = pagerank(graph, num_workers=workers, max_iters=20)
-    with use_backend("oocore"), use_oocore(interval=64):
+    with use_config(backend="oocore", oocore_interval=64):
         b = pagerank(graph, num_workers=workers, max_iters=20)
     ranks_a = np.array([a.values[v] for v in range(graph.num_vertices)])
     ranks_b = np.array([b.values[v] for v in range(graph.num_vertices)])

@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 from repro import random_graph
-from repro.core.analysis import use_analysis
+from repro.core.config import use_config
 from repro.graph.graph import Graph
 from repro.suite import APPS, DIRECTED_APPS, prepare_graph, run_app
 
@@ -42,7 +42,7 @@ def _time_run(app, graph, workers, backend, mode, repeats):
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        with use_analysis(mode):
+        with use_config(analysis=mode):
             result = run_app("flash", app, graph, num_workers=workers,
                              backend=backend)
         elapsed = time.perf_counter() - start

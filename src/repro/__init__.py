@@ -24,13 +24,16 @@ Quickstart::
 from repro.core import (
     CTRUE,
     DSU,
+    EngineConfig,
     FlashEngine,
     VertexSubset,
     bind,
     ctrue,
+    current_config,
     edges_from,
     join,
     reverse,
+    use_config,
 )
 from repro.errors import FlashUsageError, InexpressibleError, ReproError
 from repro.graph import (
@@ -50,6 +53,7 @@ __all__ = [
     "ClusterSpec",
     "CostModel",
     "DSU",
+    "EngineConfig",
     "FlashEngine",
     "FlashUsageError",
     "FlashwareOptions",
@@ -59,6 +63,7 @@ __all__ = [
     "VertexSubset",
     "bind",
     "ctrue",
+    "current_config",
     "edges_from",
     "join",
     "load_dataset",
@@ -66,5 +71,6 @@ __all__ = [
     "reverse",
     "road_network",
     "social_network",
+    "use_config",
     "web_graph",
 ]

@@ -2,8 +2,8 @@
 
 The compile counterpart of ``analysis="check"``: run an application
 normally (hand-written specs win where they exist), then again under
-:func:`~repro.analysis.compile.synthesize.force_synthesis` (synthesized
-specs replace hand ones wherever synthesis succeeds), and require the
+``use_config(force_synthesis=True)`` (synthesized specs replace hand
+ones wherever synthesis succeeds), and require the
 two runs to agree **bit-identically** — final property values and every
 charged per-superstep metric (worker ops, reduce/sync message and value
 counts, frontier sizes).  Any disagreement means a synthesized kernel
@@ -13,7 +13,6 @@ soundness rules promise cannot happen.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
@@ -101,12 +100,9 @@ class CrossCheckResult:
 def _run_variant(variant, graph, num_workers: int, forced: bool):
     """One instrumented run: returns (values, superstep signatures,
     merged kernel-plan entries)."""
-    from repro.analysis.compile.synthesize import force_synthesis
-    from repro.core.analysis import use_analysis
-    from repro.runtime.vectorized.dispatch import use_backend
+    from repro.core.config import use_config
 
-    forcer = force_synthesis() if forced else nullcontext()
-    with use_backend("vectorized"), use_analysis("compile"), forcer, \
+    with use_config(backend="vectorized", analysis="compile", force_synthesis=forced), \
             capture_plan() as cap:
         result = variant(graph, num_workers)
     records = [_signature(r) for r in result.engine.metrics.records]

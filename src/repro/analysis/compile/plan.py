@@ -164,15 +164,14 @@ def build_plan(app: str, num_workers: int = 4, graph=None) -> AppPlan:
     """Run ``app`` under the static kernel compiler and assemble its plan
     artifact."""
     from repro.analysis.staticpass.program import capture_program
-    from repro.core.analysis import use_analysis
-    from repro.runtime.vectorized.dispatch import use_backend
+    from repro.core.config import use_config
     from repro.suite import APPS, _FLASH_VARIANTS
 
     if app not in APPS:
         raise ValueError(f"unknown app {app!r}; expected one of {APPS}")
     if graph is None:
         graph = _plan_graph(app)
-    with use_backend("vectorized"), use_analysis("compile"), \
+    with use_config(backend="vectorized", analysis="compile"), \
             capture_program() as prog, capture_plan() as cap:
         for variant in _FLASH_VARIANTS[app]:
             variant(graph, num_workers)

@@ -37,8 +37,7 @@ that is sound (sparse) and the kernel is refused where it is not
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.compile import frontend
 from repro.analysis.compile.exprs import (
@@ -70,34 +69,7 @@ __all__ = [
     "explain_vertex",
     "explain_edge",
     "clear_cache",
-    "force_synthesis",
-    "synthesis_forced",
 ]
-
-#: When set (see :func:`force_synthesis`), compile-mode engines prefer a
-#: synthesized spec even for kernels that carry a hand-written one — the
-#: cross-validation switch used by
-#: :func:`repro.analysis.compile.crosscheck.cross_validate`.
-_force = False
-
-
-def synthesis_forced() -> bool:
-    return _force
-
-
-@contextmanager
-def force_synthesis() -> Iterator[None]:
-    """Make engines constructed inside the block replace hand-written
-    specs with synthesized ones (where synthesis succeeds), so the two
-    can be compared bit-identically."""
-    global _force
-    prev = _force
-    _force = True
-    try:
-        yield
-    finally:
-        _force = prev
-
 
 #: Alias kept for callers that clear the synthesis cache by name
 #: (``perf/probes.py``); synthesis results live in the front end's cache.

@@ -15,9 +15,13 @@ Public surface:
 * ``ctrue`` and ``bind`` — the default condition function and the
   global-variable binder from the paper's listings;
 * :class:`~repro.core.dsu.DSU` — the pre-defined disjoint-set helper
-  used by BCC and MSF.
+  used by BCC and MSF;
+* :class:`~repro.core.config.EngineConfig` — every engine setting in
+  one frozen record, scoped ambiently by ``use_config`` and read by
+  ``current_config``.
 """
 
+from repro.core.config import EngineConfig, current_config, use_config
 from repro.core.dsu import DSU
 from repro.core.edgeset import (
     EdgeSet,
@@ -33,13 +37,16 @@ from repro.core.vertex import VertexView
 __all__ = [
     "DSU",
     "EdgeSet",
+    "EngineConfig",
     "FlashEngine",
     "VertexSubset",
     "VertexView",
     "CTRUE",
     "bind",
     "ctrue",
+    "current_config",
     "edges_from",
     "join",
     "reverse",
+    "use_config",
 ]

@@ -9,9 +9,10 @@ to mirrors) iff it is ``get`` as the **source** property of an
 ``EDGEMAPSPARSE``.
 
 This module is the engine-side dispatcher between the two
-reproductions of that analysis, per engine (``FlashEngine(analysis=...)``)
-or ambiently (:func:`use_analysis`; docs/static_analysis.md "Analysis
-modes"):
+reproductions of that analysis, chosen by the engine's ``analysis``
+setting (``FlashEngine(analysis=...)``, or ambiently through
+:func:`~repro.core.config.use_config`; docs/static_analysis.md
+"Analysis modes"):
 
 * ``static`` (default): the ahead-of-time pass
   (:mod:`repro.analysis.staticpass`) over all control-flow branches;
@@ -27,13 +28,12 @@ modes"):
   becomes a diagnostic;
 * ``compile``: ``static`` plus spec synthesis and the communication plan
   (:mod:`repro.analysis.compile`);
-* ``off``: no analysis (``FlashEngine(auto_analyze=False)``).
+* ``off``: no analysis (also ``FlashEngine(auto_analyze=False)``).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.edgeset import EdgeSet
 from repro.core.subset import VertexSubset
@@ -41,64 +41,12 @@ from repro.core.vertex import TracingView
 
 Event = Tuple[str, str, str]  # (op, role, property)
 
-# ---------------------------------------------------------------------------
-# Analysis-mode selection (ambient default + per-engine override)
-# ---------------------------------------------------------------------------
+#: The engine's ``analysis`` settings (validated by
+#: :class:`~repro.core.config.EngineConfig`).
 ANALYSIS_MODES = ("static", "trace", "check", "compile", "off")
 
 #: Modes that run the ahead-of-time pass before the kernel executes.
 _STATIC_MODES = ("static", "check", "compile")
-
-_default_analysis = "static"
-_default_remote_promotion = True
-
-
-def validate_analysis(name: str) -> str:
-    if name not in ANALYSIS_MODES:
-        raise ValueError(
-            f"unknown analysis mode {name!r}; expected one of "
-            + ", ".join(ANALYSIS_MODES)
-        )
-    return name
-
-
-def default_analysis() -> str:
-    """The analysis mode new engines use when none is passed explicitly."""
-    return _default_analysis
-
-
-def default_remote_promotion() -> bool:
-    """Whether new engines promote properties read through ``engine.get``
-    to critical at runtime (the safety net a complete static pass makes
-    redundant)."""
-    return _default_remote_promotion
-
-
-@contextmanager
-def use_analysis(
-    name: str, remote_promotion: Optional[bool] = None
-) -> Iterator[str]:
-    """Temporarily change the default analysis mode for engines
-    constructed inside the ``with`` block (nested engines included —
-    same ambient pattern as
-    :func:`repro.runtime.vectorized.dispatch.use_backend`).
-
-    ``remote_promotion=False`` additionally disables the runtime
-    ``engine.get`` promotion fallback for those engines — the setting
-    the static-parity tests use to prove the ahead-of-time sets are
-    complete on their own."""
-    global _default_analysis, _default_remote_promotion
-    validate_analysis(name)
-    prev = _default_analysis
-    prev_promo = _default_remote_promotion
-    _default_analysis = name
-    if remote_promotion is not None:
-        _default_remote_promotion = remote_promotion
-    try:
-        yield name
-    finally:
-        _default_analysis = prev
-        _default_remote_promotion = prev_promo
 
 
 # ---------------------------------------------------------------------------

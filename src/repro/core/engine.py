@@ -26,15 +26,9 @@ from typing import (
 
 import numpy as np
 
-from repro.core.analysis import (
-    analyze_edge_map,
-    analyze_vertex_map,
-    capturing,
-    default_analysis,
-    default_remote_promotion,
-    validate_analysis,
-)
+from repro.core.analysis import analyze_edge_map, analyze_vertex_map, capturing
 from repro.core import interp as _interp_loops
+from repro.core.config import EngineConfig, current_config
 from repro.core.dsu import DSU
 from repro.core.primitives import fn_label
 from repro.core.edgeset import BaseEdges, EdgeSet
@@ -48,7 +42,6 @@ from repro.runtime.flashware import Flashware, FlashwareOptions
 from repro.runtime.metrics import Metrics
 from repro.runtime.tracing import Tracer
 from repro.runtime.vectorized.arcs import ResidentArcs
-from repro.runtime.vectorized.dispatch import default_backend, validate_backend
 from repro.runtime.vectorized.kernels import ColumnarKernels
 from repro.runtime.vectorized.specs import EdgeMapSpec, VertexMapSpec
 
@@ -121,112 +114,88 @@ class FlashEngine:
     def __init__(
         self,
         graph: Graph,
-        num_workers: int = 4,
+        num_workers: Optional[int] = None,
         options: Optional[FlashwareOptions] = None,
         dense_threshold: Optional[int] = None,
-        partition_strategy: str = "hash",
+        partition_strategy: Optional[str] = None,
         auto_analyze: bool = True,
         backend: Optional[str] = None,
         tracer: Optional[Tracer] = None,
         analysis: Optional[str] = None,
         remote_promotion: Optional[bool] = None,
         cluster: Optional[ClusterSpec] = None,
-        executor: str = "inline",
+        executor: Optional[str] = None,
         oocore_budget: Optional[int] = None,
         oocore_interval: Optional[int] = None,
         oocore_dir: Optional[str] = None,
     ):
         self.graph = graph
-        if cluster is not None:
-            num_workers = cluster.num_workers
-        if executor not in ("inline", "mp"):
-            raise FlashUsageError(
-                f"unknown executor {executor!r}: expected 'inline' (simulated "
-                f"single-process run) or 'mp' (real multi-process execution)"
-            )
-        if executor == "mp":
-            if num_workers < 2:
-                raise FlashUsageError(
-                    "executor='mp' needs at least 2 workers: a ClusterSpec with "
-                    "nodes=1 (or num_workers=1) has no partitions to distribute "
-                    "over — use executor='inline' for single-process runs"
-                )
-            if backend is not None and backend != "interp":
-                raise FlashUsageError(
-                    "executor='mp' runs the interpreted kernels on the worker "
-                    "processes; backend must be 'interp' (or omitted)"
-                )
-            backend = "interp"
-        self.executor = executor
-        if backend is None:
-            backend = default_backend()
-        self.backend = validate_backend(backend)
-        if executor == "mp":
+        #: Every setting of this engine: the explicit keywords (``None``
+        #: = not given) layered over the ambient record, resolved once.
+        #: ``cluster`` stands for its worker count and
+        #: ``auto_analyze=False`` for ``analysis="off"``.
+        cfg = current_config().override(
+            num_workers=cluster.num_workers if cluster is not None else num_workers,
+            options=options,
+            dense_threshold=dense_threshold,
+            partition_strategy=partition_strategy,
+            backend=backend,
+            executor=executor,
+            analysis=analysis if auto_analyze else "off",
+            remote_promotion=remote_promotion,
+            tracer=tracer,
+            oocore_budget=oocore_budget,
+            oocore_interval=oocore_interval,
+            oocore_dir=oocore_dir,
+        )
+        self.config: EngineConfig = cfg
+        self.executor = cfg.executor
+        self.backend = cfg.backend
+        flashware_cls = Flashware
+        if cfg.executor == "mp":
             from repro.runtime.distributed.executor import DistributedFlashware
 
-            self.flashware: Flashware = DistributedFlashware(
-                graph,
-                num_workers,
-                options=options,
-                partition_strategy=partition_strategy,
-            )
-        else:
-            self.flashware = Flashware(
-                graph,
-                num_workers,
-                options=options,
-                partition_strategy=partition_strategy,
-            )
+            flashware_cls = DistributedFlashware
+        self.flashware: Flashware = flashware_cls(
+            graph,
+            cfg.num_workers,
+            options=cfg.options,
+            partition_strategy=cfg.partition_strategy,
+        )
+        if cfg.tracer is not None:
+            self.flashware.tracer = cfg.tracer
         self._dist = getattr(self.flashware, "session", None)
         #: The non-columnar runner — the mp session when there is one,
         #: else the inline interpreted loops; both run the user
         #: functions and return ``(out, updates[, contributors])``.
         self._interp = self._dist if self._dist is not None else _interp_loops
-        # An explicit tracer overrides the ambient one the Flashware
-        # picked up (see repro.runtime.tracing.use_tracer).
-        if tracer is not None:
-            self.flashware.tracer = tracer
         # The API call a delegating primitive (adaptive EDGEMAP) is
         # issuing the next superstep on behalf of — trace attribution.
         self._issuer: Optional[str] = None
         # Ligra's heuristic: go dense when active work exceeds |arcs| / 20.
-        if dense_threshold is None:
-            dense_threshold = max(graph.num_arcs // 20, 1)
-        self.dense_threshold = dense_threshold
-        self.auto_analyze = auto_analyze
+        self.dense_threshold = (
+            max(graph.num_arcs // 20, 1) if cfg.dense_threshold is None
+            else cfg.dense_threshold
+        )
         #: How critical properties are inferred: ``static`` (ahead-of-time
         #: AST pass, the default), ``trace`` (runtime sample tracing),
-        #: ``check`` (static + trace oracle cross-check) or ``off``.
-        #: ``auto_analyze=False`` forces ``off`` (back-compat switch).
-        if not auto_analyze:
-            self.analysis = "off"
-        elif analysis is not None:
-            self.analysis = validate_analysis(analysis)
-        else:
-            self.analysis = default_analysis()
+        #: ``check`` (static + trace oracle cross-check), ``compile``
+        #: (static + spec synthesis + communication plan) or ``off``.
+        self.analysis = cfg.analysis
         #: Whether ``engine.get`` promotes properties to critical on
         #: first remote read (the runtime safety net the static pass
-        #: makes redundant for analyzable programs).  ``None`` inherits
-        #: the ambient default (see :func:`use_analysis`).
-        if remote_promotion is None:
-            remote_promotion = default_remote_promotion()
-        self.remote_promotion = remote_promotion
+        #: makes redundant for analyzable programs).
+        self.remote_promotion = cfg.remote_promotion
         #: The static kernel compiler's outputs (``analysis="compile"``):
         #: per-property sync scopes consumed by the mp executor, and the
         #: per-kernel dispatch decisions for the ``repro plan`` artifact.
         self.comm_plan = None
         self.kernel_plan: Dict[str, Dict[str, Any]] = {}
-        #: ``check`` switch for the compile mode's cross-validation: when
-        #: set, synthesized specs *replace* hand-written ones so the two
-        #: can be compared bit-identically.
-        self._synth_force = False
         if self.analysis == "compile":
             from repro.analysis.compile.commplan import CommunicationPlan
-            from repro.analysis.compile.synthesize import synthesis_forced
 
             self.comm_plan = CommunicationPlan()
             self.flashware.comm_plan = self.comm_plan
-            self._synth_force = synthesis_forced()
         #: Analysis diagnostics: static fallbacks, ``check``-mode
         #: disagreements, vectorized-spec access mismatches.
         self.diagnostics: List[str] = []
@@ -242,20 +211,12 @@ class FlashEngine:
         #: over the backend's arc source (RAM CSR vs block shards — built
         #: here for ``oocore``, released by :meth:`close`).
         self._col: Optional[ColumnarKernels] = None
-        if backend == "vectorized":
-            self._col = ColumnarKernels(backend, ResidentArcs(graph))
-        elif backend == "oocore":
+        if self.backend == "vectorized":
+            self._col = ColumnarKernels(self.backend, ResidentArcs(graph))
+        elif self.backend == "oocore":
             from repro.runtime.oocore.runtime import OocoreRuntime
 
-            self._col = ColumnarKernels(
-                backend,
-                OocoreRuntime(
-                    self,
-                    budget=oocore_budget,
-                    interval=oocore_interval,
-                    directory=oocore_dir,
-                ),
-            )
+            self._col = ColumnarKernels(self.backend, OocoreRuntime(self))
 
     # ------------------------------------------------------------------
     # Accessors
@@ -350,7 +311,7 @@ class FlashEngine:
     # ------------------------------------------------------------------
     def _compile_spec(self, kind, spec, edges, F, M, C, R):
         """Under ``analysis="compile"`` on a columnar backend, fill a
-        missing spec (or, under ``_synth_force``, replace the hand one)
+        missing spec (or, under ``force_synthesis``, replace the hand one)
         with a synthesized spec.  Returns ``(spec, origin, reason)``
         where origin is ``"hand"``, ``"synthesized"`` or ``None``
         (interp) and reason says why synthesis gave no spec.  Edge
@@ -361,7 +322,7 @@ class FlashEngine:
             return spec, hand, None
         if edges is not None and type(edges) is not BaseEdges:
             return spec, hand, f"edge set is not E ({type(edges).__name__})"
-        if spec is not None and not self._synth_force:
+        if spec is not None and not self.config.force_synthesis:
             return spec, hand, None
         from repro.analysis.compile import synthesize
 

@@ -51,9 +51,7 @@ from repro.runtime.tracing import (
     RingBufferSink,
     Span,
     Tracer,
-    current_tracer,
     load_trace,
-    use_tracer,
 )
 
 __all__ = [
@@ -84,8 +82,6 @@ __all__ = [
     "Tracer",
     "VertexState",
     "WorkerFailure",
-    "current_tracer",
     "load_trace",
     "run_with_recovery",
-    "use_tracer",
 ]

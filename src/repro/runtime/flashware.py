@@ -42,7 +42,7 @@ from repro.graph.partition import PartitionMap, partition_graph
 from repro.runtime.faults import FaultInjector, WorkerFailure
 from repro.runtime.metrics import Metrics, SuperstepRecord
 from repro.runtime.state import VertexState
-from repro.runtime.tracing import SpanHandle, current_tracer
+from repro.runtime.tracing import NULL_TRACER, SpanHandle
 
 #: Superstep kind -> trace span name (the span taxonomy of
 #: ``docs/observability.md``).
@@ -119,9 +119,9 @@ class Flashware:
         self._current: Optional[SuperstepRecord] = None
         self._ops_suppressed = False
         #: Structured tracing (see :mod:`repro.runtime.tracing`).  The
-        #: ambient tracer is picked up at construction; the default is
-        #: the no-op NULL_TRACER, keeping the untraced path free.
-        self.tracer = current_tracer()
+        #: engine installs its configured tracer; the default is the
+        #: no-op NULL_TRACER, keeping the untraced path free.
+        self.tracer = NULL_TRACER
         self._span: Optional[SpanHandle] = None
         # Per (so far) non-critical property, a |V| mask of the vertices
         # whose value changed without being synced — the debt paid if the

@@ -8,16 +8,6 @@ charged accounting are bit-identical — while keeping only O(|V|) vertex
 columns resident.
 """
 
-from repro.runtime.oocore.runtime import (
-    OocoreOptions,
-    OocoreRuntime,
-    current_oocore_options,
-    use_oocore,
-)
+from repro.runtime.oocore.runtime import OocoreRuntime
 
-__all__ = [
-    "OocoreOptions",
-    "OocoreRuntime",
-    "current_oocore_options",
-    "use_oocore",
-]
+__all__ = ["OocoreRuntime"]

@@ -1,4 +1,4 @@
-"""Out-of-core runtime: options, and the block store as an arc source.
+"""Out-of-core runtime: the block store as an arc source.
 
 One :class:`OocoreRuntime` lives on each ``backend="oocore"`` engine.
 It owns (or borrows) the engine's :class:`~repro.graph.blocks.BlockStore`
@@ -9,17 +9,17 @@ never resident — and is the *block* provider of the arc-source seam
 batch per non-skipped block through it, so only the currently mapped
 blocks plus O(|V|) columns are ever resident.
 
-Because nested engines (BC, SCC, BCC build sub-engines through
-``make_engine``) receive no constructor kwargs, the memory budget /
-interval knobs are ambient: ``use_oocore(budget=..., interval=...)``
-scopes them the same way ``use_backend`` scopes the backend choice.
+Its knobs are the engine's ``oocore_budget`` / ``oocore_interval`` /
+``oocore_dir`` settings (:class:`~repro.core.config.EngineConfig`);
+engines built where no keyword reaches them inherit the ambient ones::
+
+    with use_config(backend="oocore", oocore_budget=1 << 20):
+        result = bfs(graph, root=0)
 """
 
 from __future__ import annotations
 
 import tempfile
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterator, Optional
 
@@ -34,54 +34,6 @@ from repro.runtime.vectorized.arcs import EdgeBatch, unit_weights
 #: ids) — M-Flash's dense/sparse bimodal choice.  Both modes select the
 #: same arcs, so results and charged metrics never depend on it.
 SCAN_DENSITY = 0.125
-
-
-@dataclass(frozen=True)
-class OocoreOptions:
-    """Knobs for the out-of-core backend.
-
-    ``budget``
-        Byte budget for simultaneously mapped blocks (LRU-evicted past
-        it); ``None`` uses :data:`repro.graph.blocks.DEFAULT_BUDGET`.
-    ``interval``
-        Destination/source interval width of the block grid built from a
-        resident graph; ``None`` picks
-        :func:`repro.graph.blocks.default_interval`.
-    ``directory``
-        Where to build the block store; ``None`` uses a temporary
-        directory removed on ``engine.close()``.
-    """
-
-    budget: Optional[int] = None
-    interval: Optional[int] = None
-    directory: Optional[str] = None
-
-
-_ambient = OocoreOptions()
-
-
-def current_oocore_options() -> OocoreOptions:
-    """The options new ``backend="oocore"`` engines pick up."""
-    return _ambient
-
-
-@contextmanager
-def use_oocore(**overrides) -> Iterator[OocoreOptions]:
-    """Scope ambient out-of-core options (see :class:`OocoreOptions`).
-
-    Nested engines created inside the block inherit them::
-
-        with use_oocore(budget=1 << 20, interval=4096):
-            with FlashEngine(graph, backend="oocore") as eng:
-                ...
-    """
-    global _ambient
-    prev = _ambient
-    _ambient = replace(prev, **overrides)
-    try:
-        yield _ambient
-    finally:
-        _ambient = prev
 
 
 def _gather(column, idx: np.ndarray) -> np.ndarray:
@@ -110,20 +62,16 @@ class OocoreRuntime:
     """Store lifecycle + block scheduling for one oocore engine: the
     block store as an arc source (one batch per non-skipped block)."""
 
-    def __init__(
-        self,
-        engine,
-        budget: Optional[int] = None,
-        interval: Optional[int] = None,
-        directory: Optional[str] = None,
-    ):
-        opts = _ambient
-        if budget is None:
-            budget = opts.budget
-        if interval is None:
-            interval = opts.interval
-        if directory is None:
-            directory = opts.directory
+    def __init__(self, engine):
+        """``engine.config`` supplies the knobs: ``oocore_budget`` bytes of
+        simultaneously mapped blocks (LRU-evicted past it; ``None`` =
+        :data:`~repro.graph.blocks.DEFAULT_BUDGET`), the block grid's
+        ``oocore_interval`` width when built from a resident graph
+        (``None`` = :func:`~repro.graph.blocks.default_interval`) and
+        the ``oocore_dir`` it is built in (``None`` = a temporary
+        directory removed on ``engine.close()``)."""
+        cfg = engine.config
+        budget, directory = cfg.oocore_budget, cfg.oocore_dir
         # the middleware, not the engine: an engine reference would
         # close a cycle through ``engine._col.arcs``
         self._fw = engine.flashware
@@ -138,7 +86,7 @@ class OocoreRuntime:
             if directory is None:
                 self._tmp = tempfile.TemporaryDirectory(prefix="repro-oocore-")
                 directory = self._tmp.name
-            self.store = build_block_store(graph, directory, interval=interval)
+            self.store = build_block_store(graph, directory, interval=cfg.oocore_interval)
             self._owns_store = True
         if budget is not None:
             self.store.budget = max(1, int(budget))

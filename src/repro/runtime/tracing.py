@@ -25,7 +25,7 @@ name                 category    emitted by
 ``replay.window``    recovery    instant: the fast-forward/replay window bounds
 ``dsu_union``        dsu         instant: one successful ``DSU.union`` via the
                                  engine's traced ``dsu()`` helper
-``backend.switch``   dispatch    instant: an ambient ``use_backend`` change
+``backend.switch``   dispatch    instant: a ``use_config`` backend change
 ===================  ==========  =================================================
 
 Superstep spans carry the :class:`~repro.runtime.metrics.SuperstepRecord`
@@ -53,10 +53,10 @@ Sinks
 * :class:`ChromeTraceSink` — a ``chrome://tracing`` / Perfetto
   ``trace_event`` JSON file (complete ``"X"`` events).
 
-Like :func:`repro.runtime.vectorized.dispatch.use_backend` for the
-backend, :func:`use_tracer` installs a process-wide ambient tracer so
-algorithms that build nested engines internally (BC, SCC, BCC) inherit
-it automatically.
+A tracer is one of an engine's settings: ``FlashEngine(tracer=...)``,
+or ambiently ``use_config(tracer=...)``
+(:func:`repro.core.config.use_config`), so engines built inside
+algorithms, suite runners and servers inherit it.
 """
 
 from __future__ import annotations
@@ -336,32 +336,6 @@ class NullTracer(Tracer):
 
 #: Process-wide disabled tracer (the default for every Flashware).
 NULL_TRACER = NullTracer()
-
-_default_tracer: Tracer = NULL_TRACER
-
-
-def current_tracer() -> Tracer:
-    """The ambient tracer new Flashware instances attach to."""
-    return _default_tracer
-
-
-@contextmanager
-def use_tracer(tracer: Optional[Tracer]) -> Iterator[Tracer]:
-    """Temporarily install ``tracer`` as the ambient tracer — engines
-    constructed inside the ``with`` block (including engines nested
-    inside algorithms: BC, SCC, BCC) pick it up.  ``None`` keeps the
-    current ambient tracer (so callers can thread an optional
-    argument without branching)."""
-    global _default_tracer
-    if tracer is None:
-        yield _default_tracer
-        return
-    prev = _default_tracer
-    _default_tracer = tracer
-    try:
-        yield tracer
-    finally:
-        _default_tracer = prev
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ every engine holds:
 * :mod:`~repro.runtime.vectorized.arcs` — the arc-source seam those
   kernels read arcs through: the resident CSR here, the block store in
   :mod:`repro.runtime.oocore`;
-* :mod:`~repro.runtime.vectorized.dispatch` — process-wide default
-  backend selection (``use_backend`` / ``default_backend``).
+* :mod:`~repro.runtime.vectorized.dispatch` — the backend names
+  (selected per engine through :class:`~repro.core.config.EngineConfig`).
 
 Any superstep whose spec cannot be applied (non-``E`` edge sets, a
 property demoted to an object column, a missing spec) transparently falls
@@ -23,12 +23,7 @@ back to the interpreted path — results and metrics are identical either
 way.
 """
 
-from repro.runtime.vectorized.dispatch import (
-    BACKENDS,
-    default_backend,
-    use_backend,
-    validate_backend,
-)
+from repro.runtime.vectorized.dispatch import BACKENDS
 from repro.runtime.vectorized.specs import NOT_SET, EdgeMapSpec, VertexMapSpec
 
 __all__ = [
@@ -36,7 +31,4 @@ __all__ = [
     "EdgeMapSpec",
     "NOT_SET",
     "VertexMapSpec",
-    "default_backend",
-    "use_backend",
-    "validate_backend",
 ]

@@ -1,12 +1,12 @@
-"""Process-wide backend selection.
+"""The execution backends an engine can run its supersteps on.
 
-The engine picks its execution backend at construction time
-(``FlashEngine(..., backend=...)``).  Algorithms that build nested
-engines internally (BC, SCC, BCC build sub-engines per phase) inherit
-the ambient default instead, which callers set with
-:func:`use_backend`::
+An engine picks its backend once, at construction: the ``backend``
+keyword layered over the ambient
+:class:`~repro.core.config.EngineConfig`.  Algorithms that build their
+engine internally inherit the ambient record, which callers scope with
+:func:`~repro.core.config.use_config`::
 
-    with use_backend("vectorized"):
+    with use_config(backend="vectorized"):
         result = bfs(graph, root=0)
 
 Backends
@@ -24,50 +24,8 @@ Backends
     ``vectorized``).
     Kernels without a spec fall back to the interpreted path — over
     block-paged adjacency when the graph itself is out of core.  Budget
-    and block-size knobs are scoped with
-    :func:`repro.runtime.oocore.use_oocore`.
+    and block-size knobs are the ``oocore_*`` settings of the same
+    record.
 """
 
-from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
-
 BACKENDS = ("interp", "vectorized", "oocore")
-
-_default_backend = "interp"
-
-
-def validate_backend(name: str) -> str:
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {', '.join(BACKENDS)}"
-        )
-    return name
-
-
-def default_backend() -> str:
-    """The backend new engines use when none is passed explicitly."""
-    return _default_backend
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[str]:
-    """Temporarily change the default backend for engines constructed
-    inside the ``with`` block (including engines nested inside
-    algorithms).  Under an active ambient tracer the switch is marked
-    on the trace timeline (a ``backend.switch`` instant), so a trace
-    shows which portions of a run executed under which default."""
-    from repro.runtime.tracing import current_tracer
-
-    global _default_backend
-    validate_backend(name)
-    prev = _default_backend
-    _default_backend = name
-    tracer = current_tracer()
-    if tracer.enabled and name != prev:
-        tracer.instant("backend.switch", "dispatch", to=name, was=prev)
-    try:
-        yield name
-    finally:
-        _default_backend = prev

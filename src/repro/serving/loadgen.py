@@ -122,7 +122,7 @@ async def run_load_async(
     max_batch: int = 16,
     queue_depth: Optional[int] = None,
     engine_pool: int = 2,
-    num_workers: int = 4,
+    num_workers: Optional[int] = None,
     backend: Optional[str] = None,
     deadline: Optional[float] = None,
     hot_set_size: int = 4,
@@ -188,8 +188,8 @@ async def run_load_async(
             "max_batch": max_batch,
             "queue_depth": depth,
             "engine_pool": engine_pool,
-            "num_workers": num_workers,
-            "backend": backend,
+            "num_workers": server.config.num_workers,
+            "backend": server.config.backend,
             "deadline_s": deadline,
             "hot_set_size": hot_set_size,
             "hot_fraction": hot_fraction,

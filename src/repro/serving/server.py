@@ -41,6 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from repro.core.config import EngineConfig, current_config, use_config
 from repro.core.engine import FlashEngine
 from repro.errors import (
     DeadlineExpiredError,
@@ -95,14 +96,17 @@ class GraphServer:
             result = await server.submit("bfs-from-source", {"source": 3})
 
     All knobs are constructor parameters; ``batching`` / ``caching``
-    exist so benchmarks can ablate each independently.
+    exist so benchmarks can ablate each independently.  The engines'
+    settings are resolved once, here: ``num_workers`` / ``backend``
+    (``None`` = ambient) over :func:`~repro.core.config.current_config`,
+    and every pooled or replacement engine is built from that record.
     """
 
     def __init__(
         self,
         graph: Graph,
         *,
-        num_workers: int = 4,
+        num_workers: Optional[int] = None,
         engine_pool: int = 2,
         backend: Optional[str] = None,
         queue_depth: int = 64,
@@ -122,9 +126,10 @@ class GraphServer:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.graph = graph
-        self.num_workers = num_workers
+        self.config: EngineConfig = current_config().override(
+            num_workers=num_workers, backend=backend
+        )
         self.engine_pool = engine_pool
-        self.backend = backend
         self.queue_depth = queue_depth
         self.batch_window = batch_window
         self.max_batch = max_batch
@@ -506,9 +511,8 @@ class GraphServer:
             self._holdover.append(req)
 
     def _build_engine(self) -> FlashEngine:
-        return FlashEngine(
-            self.graph, num_workers=self.num_workers, backend=self.backend
-        )
+        with use_config(self.config):
+            return FlashEngine(self.graph)
 
     def _pool_size(self) -> int:
         return sum(1 for s in self._engine_health.values() if s != "failed")

@@ -14,7 +14,7 @@ each bind :class:`SuiteParity` to their backend.
 import pytest
 
 from repro import load_dataset, random_graph
-from repro.runtime.oocore import use_oocore
+from repro.core.config import use_config
 from repro.suite import APPS, DIRECTED_APPS, prepare_graph, run_app
 
 #: Apps whose FLASH variants carry hand-written specs, so at least one
@@ -43,7 +43,7 @@ class SuiteParity:
             g = load_dataset("OR", scale=0.05, directed=True)
         g = prepare_graph(app, g)
         interp = run_app("flash", app, g, num_workers=3, backend="interp")
-        with use_oocore(interval=8):
+        with use_config(oocore_interval=8):
             run = run_app("flash", app, g, num_workers=3, backend=self.backend)
         assert run.values == interp.values, app
         assert run.metrics.num_supersteps == interp.metrics.num_supersteps, app

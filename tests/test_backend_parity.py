@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from parity import SuiteParity
-from repro import random_graph
+from repro import FlashUsageError, random_graph
 from repro.__main__ import main
 from repro.algorithms import (
     bfs, cc_basic, kcore_basic, kcore_opt, lpa, pagerank, sssp,
 )
+from repro.core.config import use_config
 from repro.core.engine import FlashEngine
 from repro.runtime.flashware import FlashwareOptions
 from repro.runtime.state import VertexState
-from repro.runtime.vectorized import use_backend
 from repro.suite import run_app
 
 
@@ -38,9 +38,9 @@ def weighted(graph):
 
 def _pair(fn, *args, **kwargs):
     """Run an algorithm under both backends; return both results."""
-    with use_backend("interp"):
+    with use_config(backend="interp"):
         a = fn(*args, **kwargs)
-    with use_backend("vectorized"):
+    with use_config(backend="vectorized"):
         b = fn(*args, **kwargs)
     return a, b
 
@@ -52,7 +52,7 @@ class TestSuiteParity(SuiteParity):
     backend = "vectorized"
 
     def test_auto_alias_removed(self, graph):
-        with pytest.raises(ValueError, match="unknown backend 'auto'"):
+        with pytest.raises(FlashUsageError, match="unknown backend 'auto'"):
             run_app("flash", "bfs", graph, num_workers=3, backend="auto")
 
 

@@ -98,9 +98,9 @@ class TestVectorizedCheckpoint:
         """A NumPy column demoted to an object list *between* checkpoint
         and restore: the array snapshot must restore into the live list
         column without losing values."""
-        from repro.runtime.vectorized import use_backend
+        from repro.core.config import use_config
 
-        with use_backend("vectorized"):
+        with use_config(backend="vectorized"):
             eng = FlashEngine(Graph.from_edges([(0, 1), (1, 2)]), num_workers=2)
         eng.add_property("x", 0)
         assert eng.flashware.state.array("x") is not None
@@ -119,12 +119,12 @@ class TestVectorizedCheckpoint:
         """restore() after abort_superstep() mid-algorithm — the exact
         sequence a worker failure triggers — must yield the same final
         values as an undisturbed run, on both backends."""
-        from repro.runtime.vectorized import use_backend
+        from repro.core.config import use_config
 
         graph = random_graph(30, 70, seed=5)
         reference = bfs(graph, root=0).values
         for backend in ("interp", "vectorized"):
-            with use_backend(backend):
+            with use_config(backend=backend):
                 eng = FlashEngine(graph, num_workers=4)
             eng.add_property("dis", INF)
             from repro.core.primitives import bind, ctrue as CT

@@ -182,7 +182,7 @@ def test_suite_rejects_mp_for_baselines():
 
 
 def test_suite_rejects_mp_with_vectorized_backend():
-    with pytest.raises(ValueError, match="interp"):
+    with pytest.raises(FlashUsageError, match="interp"):
         run_app("flash", "cc", _graph("cc"), executor="mp",
                 backend="vectorized")
 

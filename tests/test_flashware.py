@@ -262,9 +262,9 @@ class TestNaNChangeDetection:
         import numpy as np
 
         from repro import FlashEngine
-        from repro.runtime.vectorized import use_backend
+        from repro.core.config import use_config
 
-        with use_backend("vectorized"):
+        with use_config(backend="vectorized"):
             eng = FlashEngine(Graph.from_edges([(0, 1), (1, 2), (2, 3)]),
                               num_workers=2)
         fw = eng.flashware

@@ -22,11 +22,11 @@ from parity import SPECCED_APPS, SuiteParity, strip_io
 from repro import random_graph
 from repro.__main__ import main
 from repro.algorithms import bfs, kcore_opt, pagerank, sssp
+from repro.core.config import EngineConfig, current_config, use_config
 from repro.core.engine import FlashEngine
 from repro.core.primitives import ctrue
-from repro.runtime.oocore import OocoreOptions, current_oocore_options, use_oocore
 from repro.runtime.tracing import RingBufferSink, Tracer
-from repro.runtime.vectorized import EdgeMapSpec, use_backend
+from repro.runtime.vectorized import EdgeMapSpec
 from repro.suite import run_app
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def weighted(graph):
 
 def _suite_pair(app, graph, **kwargs):
     vec = run_app("flash", app, graph, num_workers=3, backend="vectorized", **kwargs)
-    with use_oocore(interval=8):
+    with use_config(oocore_interval=8):
         ooc = run_app("flash", app, graph, num_workers=3, backend="oocore", **kwargs)
     return vec, ooc
 
@@ -74,9 +74,9 @@ class TestBitIdentity:
         return np.asarray(values, dtype=np.float64)
 
     def test_pagerank_bit_identical(self, graph):
-        with use_backend("vectorized"):
+        with use_config(backend="vectorized"):
             a = pagerank(graph, num_workers=3, max_iters=10)
-        with use_backend("oocore"), use_oocore(interval=8):
+        with use_config(backend="oocore", oocore_interval=8):
             b = pagerank(graph, num_workers=3, max_iters=10)
         # exact float equality: the block layout replays the in-CSR arc
         # order, so every float sum folds in the same sequence
@@ -84,9 +84,9 @@ class TestBitIdentity:
         assert b.engine.metrics.backend_choices.get("oocore", 0) > 0
 
     def test_sssp_weighted_bit_identical(self, weighted):
-        with use_backend("vectorized"):
+        with use_config(backend="vectorized"):
             a = sssp(weighted, root=0, num_workers=3)
-        with use_backend("oocore"), use_oocore(interval=8):
+        with use_config(backend="oocore", oocore_interval=8):
             b = sssp(weighted, root=0, num_workers=3)
         assert np.array_equal(self._values_array(a), self._values_array(b))
         assert b.engine.metrics.total_bytes_read > 0  # weight shards read
@@ -101,7 +101,7 @@ class TestBudget:
         evictions without changing values or charged metrics — only the
         I/O counters grow (the same block is re-read)."""
         vec, _ = _suite_pair("bfs", graph)
-        with use_oocore(interval=8, budget=1):
+        with use_config(oocore_interval=8, oocore_budget=1):
             low = run_app("flash", "bfs", graph, num_workers=3, backend="oocore")
         assert low.values == vec.values
         vec_summary, _ = strip_io(vec.metrics.summary())
@@ -121,14 +121,14 @@ class TestBudget:
             assert store.blocks_evicted > 0
 
     def test_ambient_options(self):
-        assert current_oocore_options() == OocoreOptions()
-        with use_oocore(budget=123, interval=4):
-            assert current_oocore_options().budget == 123
-            assert current_oocore_options().interval == 4
-            with use_oocore(budget=456):
-                assert current_oocore_options().budget == 456
-                assert current_oocore_options().interval == 4
-        assert current_oocore_options() == OocoreOptions()
+        assert current_config() == EngineConfig()
+        with use_config(oocore_budget=123, oocore_interval=4):
+            assert current_config().oocore_budget == 123
+            assert current_config().oocore_interval == 4
+            with use_config(oocore_budget=456):
+                assert current_config().oocore_budget == 456
+                assert current_config().oocore_interval == 4
+        assert current_config() == EngineConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +138,9 @@ class TestFallback:
     def test_kcore_opt_mixes_backends(self, graph):
         """kcore_opt's histogram supersteps carry no spec and must fall
         back to the interpreted kernels within the same oocore run."""
-        with use_backend("vectorized"):
+        with use_config(backend="vectorized"):
             a = kcore_opt(graph, num_workers=3)
-        with use_backend("oocore"), use_oocore(interval=8):
+        with use_config(backend="oocore", oocore_interval=8):
             b = kcore_opt(graph, num_workers=3)
         assert b.values == a.values
         assert b.engine.metrics.summary() == {

@@ -177,9 +177,9 @@ class TestCheckpointPolicies:
 # ---------------------------------------------------------------------------
 def _snapshot_engine(backend="interp"):
     """An engine with an array-typed and an object-valued property."""
-    from repro.runtime.vectorized import use_backend
+    from repro.core.config import use_config
 
-    with use_backend(backend):
+    with use_config(backend=backend):
         eng = FlashEngine(Graph.from_edges([(0, 1), (1, 2)]), num_workers=2)
     eng.add_property("x", 0)
     eng.add_property("bag", factory=set)

@@ -18,7 +18,8 @@ import pytest
 
 from repro import FlashEngine, Graph, ctrue, load_dataset
 from repro.analysis.staticpass import capture_program
-from repro.core.analysis import analyze_edge_map, use_analysis
+from repro.core.analysis import analyze_edge_map
+from repro.core.config import use_config
 from repro.core.subset import VertexSubset
 from repro.graph.generators import random_graph
 from repro.suite import APPS, prepare_graph, run_app
@@ -38,19 +39,19 @@ def _graph_for(app):
 @pytest.mark.parametrize("app", APPS)
 def test_static_matches_trace_everywhere(app, backend):
     graph = _graph_for(app)
-    with use_analysis("trace"):
+    with use_config(analysis="trace"):
         traced = run_app("flash", app, graph, num_workers=4, backend=backend)
     # Static sets alone (no runtime get-promotion fallback) must
     # reproduce the traced run exactly, without any fallback/spec
     # diagnostics.
-    with use_analysis("static", remote_promotion=False), capture_program() as cap:
+    with use_config(analysis="static", remote_promotion=False), capture_program() as cap:
         static = run_app("flash", app, graph, num_workers=4, backend=backend)
     assert static.values == traced.values
     assert static.metrics.summary() == traced.metrics.summary()
     assert cap.diagnostics == []
     # And the trace oracle agrees: under "check" both run, and anything
     # the trace observes that the static pass missed is a diagnostic.
-    with use_analysis("check"), capture_program() as cap:
+    with use_config(analysis="check"), capture_program() as cap:
         checked = run_app("flash", app, graph, num_workers=4, backend=backend)
     assert checked.values == traced.values
     disagreements = [d for d in cap.diagnostics if "disagreement" in d]
@@ -62,9 +63,9 @@ def test_static_never_syncs_more_than_trace():
     # pass stay at or below the trace baseline for every app.
     for app in APPS:
         graph = _graph_for(app)
-        with use_analysis("trace"):
+        with use_config(analysis="trace"):
             traced = run_app("flash", app, graph, num_workers=4)
-        with use_analysis("static"):
+        with use_config(analysis="static"):
             static = run_app("flash", app, graph, num_workers=4)
         assert (
             static.metrics.summary()["sync_messages"]

@@ -11,6 +11,7 @@ import pytest
 from repro import load_dataset, random_graph
 from repro.__main__ import main
 from repro.algorithms import bcc, bfs
+from repro.core.config import current_config, use_config
 from repro.core.engine import FlashEngine
 from repro.runtime.tracing import (
     ChromeTraceSink,
@@ -20,16 +21,13 @@ from repro.runtime.tracing import (
     RingBufferSink,
     Span,
     Tracer,
-    current_tracer,
     format_trace_summary,
     load_trace,
     mode_flips,
     summarize_by_primitive,
     superstep_spans,
     top_supersteps,
-    use_tracer,
 )
-from repro.runtime.vectorized.dispatch import use_backend
 from repro.suite import APPS, DIRECTED_APPS, prepare_graph, run_app
 
 
@@ -46,7 +44,7 @@ def directed_graph():
 def _trace_run(fn, *args, **kwargs):
     """Run ``fn`` under a fresh ring-buffer tracer; return (result, spans)."""
     sink = RingBufferSink()
-    with use_tracer(Tracer(sink)):
+    with use_config(tracer=Tracer(sink)):
         result = fn(*args, **kwargs)
     return result, sink.spans()
 
@@ -186,14 +184,15 @@ class TestTracer:
         NULL_TRACER.instant("mark")
         assert NULL_TRACER.spans_emitted == 0
 
-    def test_use_tracer_installs_and_restores(self):
+    def test_config_tracer_installs_and_restores(self):
         tracer = Tracer(RingBufferSink())
-        assert isinstance(current_tracer(), NullTracer)
-        with use_tracer(tracer):
-            assert current_tracer() is tracer
-            with use_tracer(None):      # None keeps the ambient tracer
-                assert current_tracer() is tracer
-        assert isinstance(current_tracer(), NullTracer)
+        assert current_config().tracer is None
+        assert isinstance(FlashEngine(random_graph(4, 4, seed=0)).tracer, NullTracer)
+        with use_config(tracer=tracer):
+            assert current_config().tracer is tracer
+            with use_config(tracer=None):      # None keeps the ambient tracer
+                assert current_config().tracer is tracer
+        assert current_config().tracer is None
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ class TestInstrumentation:
 
     def test_backend_attribution(self, graph):
         def run():
-            with use_backend("vectorized"):
+            with use_config(backend="vectorized"):
                 return bfs(graph, root=0, num_workers=3)
         _, spans = _trace_run(run)
         backends = {s.args.get("backend") for s in superstep_spans(spans)}
