@@ -50,3 +50,15 @@ class BaselineFramework:
 
     def owner(self, vid: int) -> int:
         return self.partition.owner_of(vid)
+
+    def chain_cost(self, label: str = "chain") -> None:
+        """Charge the data-sharing superstep between chained sub-algorithms
+        (the paper: "the data sharing time ... among sub-algorithms will
+        be recorded")."""
+        rec = self.metrics.new_record(f"{self.framework_name}_chain", label)
+        n = self.graph.num_vertices
+        per_worker = n // max(self.num_workers, 1) + 1
+        for w in range(self.num_workers):
+            rec.worker_ops[w] = per_worker
+        rec.sync_messages += self.num_workers
+        rec.sync_values += n

@@ -23,12 +23,13 @@ back to those mirrors.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Set
+from typing import Any, Callable, Iterable, List, Optional, Set, Tuple
 
 from repro.baselines.base import BaselineFramework
 from repro.errors import ReproError
 from repro.graph.graph import Graph
 from repro.runtime.flashware import values_equal
+from repro.runtime.metrics import SuperstepRecord
 
 
 class GASContext:
@@ -102,6 +103,59 @@ class GASFramework(BaselineFramework):
             return sorted(seen)
         raise ValueError(f"unknown edge direction {direction!r}")
 
+    def _start(self, program: GASProgram, initial_values: Optional[List[Any]],
+               initial_active: Optional[Iterable[int]]) -> Tuple[List[Any], Set[int]]:
+        graph = self.graph
+        n = graph.num_vertices
+        if initial_values is not None:
+            values = list(initial_values)
+        else:
+            values = [program.initial_value(v, graph) for v in range(n)]
+        if initial_active is not None:
+            return values, {int(v) for v in initial_active}
+        return values, {v for v in range(n) if program.initial_active(v, graph)}
+
+    def _vertex_step(self, ctx: GASContext, program: GASProgram, rec: SuperstepRecord,
+                     vid: int, values: List[Any], out: List[Any], activate: Set[int]) -> None:
+        """One gather -> apply -> scatter of ``vid``, charged to ``rec``.
+        Reads ``values``; the new value is written to ``out[vid]`` (the
+        iteration's snapshot, or ``values`` itself when updates are
+        visible immediately) and activated vertices join ``activate``."""
+        worker = self.owner(vid)
+        # Gather at mirrors, reduce to the master.
+        acc: Any = None
+        gathered = False
+        for nbr in self._edges(vid, program.gather_edges):
+            nbr = int(nbr)
+            rec.worker_ops[worker] += 1
+            contribution = program.gather(ctx, vid, values[vid], nbr, values[nbr])
+            if contribution is None:
+                continue
+            acc = contribution if not gathered else program.accum(acc, contribution)
+            gathered = True
+        remote = self.partition.neighbor_mirrors(vid)
+        if remote and gathered:
+            rec.reduce_messages += len(remote)
+            rec.reduce_values += len(remote)
+
+        # Apply at the master; sync the new value to mirrors.
+        rec.worker_ops[worker] += 1
+        new_value = program.apply(ctx, vid, values[vid], acc)
+        changed = not values_equal(new_value, values[vid])
+        out[vid] = new_value
+        if changed and remote:
+            rec.sync_messages += len(remote)
+            rec.sync_values += len(remote)
+
+        # Scatter along out-edges, activating neighbors.
+        for nbr in self._edges(vid, program.scatter_edges):
+            nbr = int(nbr)
+            rec.worker_ops[worker] += 1
+            if program.scatter(ctx, vid, new_value, changed, nbr, values[nbr]):
+                activate.add(nbr)
+        if program.keep_active(ctx, vid, new_value):
+            activate.add(vid)
+
     def run(
         self,
         program: GASProgram,
@@ -113,18 +167,8 @@ class GASFramework(BaselineFramework):
         """Run ``program`` to quiescence (or ``max_iterations``) and
         return the vertex values.  ``initial_values`` / ``initial_active``
         let a driver chain phases."""
-        graph = self.graph
-        n = graph.num_vertices
         label = label or type(program).__name__
-        if initial_values is not None:
-            values = list(initial_values)
-        else:
-            values = [program.initial_value(v, graph) for v in range(n)]
-        if initial_active is not None:
-            active: Set[int] = {int(v) for v in initial_active}
-        else:
-            active = {v for v in range(n) if program.initial_active(v, graph)}
-
+        values, active = self._start(program, initial_values, initial_active)
         ctx = GASContext(self)
         iteration = 0
         while active:
@@ -134,45 +178,10 @@ class GASFramework(BaselineFramework):
             rec.frontier_in = len(active)
             ctx.iteration = iteration
             next_active: Set[int] = set()
-            new_values = dict(enumerate(values))
-
+            new_values = list(values)
             for vid in sorted(active):
-                worker = self.owner(vid)
-                # Gather at mirrors, reduce to the master.
-                acc: Any = None
-                gathered = False
-                for nbr in self._edges(vid, program.gather_edges):
-                    nbr = int(nbr)
-                    rec.worker_ops[worker] += 1
-                    contribution = program.gather(ctx, vid, values[vid], nbr, values[nbr])
-                    if contribution is None:
-                        continue
-                    acc = contribution if not gathered else program.accum(acc, contribution)
-                    gathered = True
-                remote = self.partition.neighbor_mirrors(vid)
-                if remote and gathered:
-                    rec.reduce_messages += len(remote)
-                    rec.reduce_values += len(remote)
-
-                # Apply at the master; sync the new value to mirrors.
-                rec.worker_ops[worker] += 1
-                new_value = program.apply(ctx, vid, values[vid], acc)
-                changed = not values_equal(new_value, values[vid])
-                new_values[vid] = new_value
-                if changed and remote:
-                    rec.sync_messages += len(remote)
-                    rec.sync_values += len(remote)
-
-                # Scatter along out-edges, activating neighbors.
-                for nbr in self._edges(vid, program.scatter_edges):
-                    nbr = int(nbr)
-                    rec.worker_ops[worker] += 1
-                    if program.scatter(ctx, vid, new_value, changed, nbr, values[nbr]):
-                        next_active.add(nbr)
-                if program.keep_active(ctx, vid, new_value):
-                    next_active.add(vid)
-
-            values = [new_values[v] for v in range(n)]
+                self._vertex_step(ctx, program, rec, vid, values, new_values, next_active)
+            values = new_values
             active = next_active
             rec.frontier_out = len(active)
             iteration += 1
@@ -197,18 +206,8 @@ class GASFramework(BaselineFramework):
         record each; messages are charged per remote gather/sync like the
         synchronous engine, but with no barrier rounds.
         """
-        graph = self.graph
-        n = graph.num_vertices
         label = label or f"async:{type(program).__name__}"
-        if initial_values is not None:
-            values = list(initial_values)
-        else:
-            values = [program.initial_value(v, graph) for v in range(n)]
-        if initial_active is not None:
-            queue = {int(v) for v in initial_active}
-        else:
-            queue = {v for v in range(n) if program.initial_active(v, graph)}
-
+        values, queue = self._start(program, initial_values, initial_active)
         ctx = GASContext(self)
         updates = 0
         while queue:
@@ -221,44 +220,6 @@ class GASFramework(BaselineFramework):
                 updates += 1
                 if updates > max_updates:
                     raise ReproError(f"async program {label} exceeded the update budget")
-                worker = self.owner(vid)
-                acc: Any = None
-                gathered = False
-                for nbr in self._edges(vid, program.gather_edges):
-                    nbr = int(nbr)
-                    rec.worker_ops[worker] += 1
-                    contribution = program.gather(ctx, vid, values[vid], nbr, values[nbr])
-                    if contribution is None:
-                        continue
-                    acc = contribution if not gathered else program.accum(acc, contribution)
-                    gathered = True
-                remote = self.partition.neighbor_mirrors(vid)
-                if remote and gathered:
-                    rec.reduce_messages += len(remote)
-                    rec.reduce_values += len(remote)
-                rec.worker_ops[worker] += 1
-                new_value = program.apply(ctx, vid, values[vid], acc)
-                changed = not values_equal(new_value, values[vid])
-                values[vid] = new_value  # visible immediately
-                if changed and remote:
-                    rec.sync_messages += len(remote)
-                    rec.sync_values += len(remote)
-                for nbr in self._edges(vid, program.scatter_edges):
-                    nbr = int(nbr)
-                    rec.worker_ops[worker] += 1
-                    if program.scatter(ctx, vid, new_value, changed, nbr, values[nbr]):
-                        queue.add(nbr)
-                if program.keep_active(ctx, vid, new_value):
-                    queue.add(vid)
+                self._vertex_step(ctx, program, rec, vid, values, values, queue)
             rec.frontier_out = len(queue)
         return values
-
-    def chain_cost(self, label: str = "chain") -> None:
-        """Data-sharing cost between chained GAS phases."""
-        rec = self.metrics.new_record("gas_chain", label)
-        n = self.graph.num_vertices
-        per_worker = n // max(self.num_workers, 1) + 1
-        for w in range(self.num_workers):
-            rec.worker_ops[w] = per_worker
-        rec.sync_messages += self.num_workers
-        rec.sync_values += n

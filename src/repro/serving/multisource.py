@@ -33,7 +33,7 @@ small-diameter graphs — share those scans.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.algorithms.common import INF, local_dict
 from repro.core.engine import FlashEngine
@@ -47,11 +47,24 @@ _RANK = "msrank"
 _ACC = "msacc"
 
 
+def as_int(value: Any, what: str) -> int:
+    """``value`` as an int.  Integers, integral floats and integer strings
+    pass; bools and anything ``int()`` would truncate are rejected."""
+    if not isinstance(value, bool):
+        try:
+            out = int(value)
+            if isinstance(value, str) or out == value:
+                return out
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidRequestError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_sources(engine: FlashEngine, sources: Sequence[int]) -> List[int]:
     n = engine.graph.num_vertices
     out = []
     for s in sources:
-        s = int(s)
+        s = as_int(s, "source")
         if not 0 <= s < n:
             raise InvalidRequestError(f"source {s} out of range (|V|={n})")
         out.append(s)

@@ -26,24 +26,18 @@ from repro import algorithms as A
 from repro.core.engine import FlashEngine
 from repro.errors import InvalidRequestError, UnknownAlgorithmError
 from repro.serving.cache import canonical_params
-from repro.serving.multisource import multi_bfs, multi_ppr, multi_sssp, top_k
+from repro.serving.multisource import as_int, multi_bfs, multi_ppr, multi_sssp, top_k
 
 
 def _vertex(value: Any, n: int, what: str) -> int:
-    try:
-        vid = int(value)
-    except (TypeError, ValueError):
-        raise InvalidRequestError(f"{what} must be an integer, got {value!r}") from None
+    vid = as_int(value, what)
     if not 0 <= vid < n:
         raise InvalidRequestError(f"{what} {vid} out of range (|V|={n})")
     return vid
 
 
 def _positive_int(value: Any, what: str) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise InvalidRequestError(f"{what} must be an integer, got {value!r}") from None
+    out = as_int(value, what)
     if out < 1:
         raise InvalidRequestError(f"{what} must be >= 1, got {out}")
     return out

@@ -30,6 +30,7 @@ from repro.serving import (
     ServingMetrics,
     build_registry,
     canonical_params,
+    multi_bfs,
     percentile,
 )
 from repro.serving.loadgen import run_load
@@ -185,6 +186,25 @@ def test_invalid_requests_fail_fast(graph):
         return True
 
     assert serve(graph, scenario)
+
+
+def test_non_integral_parameters_rejected_not_truncated(graph):
+    """``int()`` would answer ``source=3.7`` for vertex 3 and ``True`` for
+    vertex 1; integral floats and integer strings stay accepted."""
+    registry, n = build_registry(), graph.num_vertices
+    for name, params in [("bfs-from-source", {"source": 3.7}),
+                         ("bfs-from-source", {"source": True}),
+                         ("cc-membership", {"vertex": 2.5}),
+                         ("ppr-for-user", {"seed": 1, "iters": 2.9}),
+                         ("ppr-for-user", {"seed": 1, "k": 1.5}),
+                         ("ppr-for-user", {"seeds": [1, False]})]:
+        with pytest.raises(InvalidRequestError, match="must be an integer"):
+            registry[name].canonicalize(params, n)
+    for source in (3, 3.0, "3"):
+        assert registry["bfs-from-source"].canonicalize({"source": source}, n) == {"source": 3}
+    engine = FlashEngine(graph, num_workers=2)
+    with pytest.raises(InvalidRequestError, match="must be an integer"):
+        multi_bfs(engine, [0, 1.5])
 
 
 # ---------------------------------------------------------------------------

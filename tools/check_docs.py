@@ -1,4 +1,5 @@
-"""Documentation health checks: link integrity and runnable examples.
+"""Documentation health checks: link integrity, runnable examples and
+the paper tables.
 
 Two checks over ``README.md`` and ``docs/*.md``:
 
@@ -9,6 +10,10 @@ Two checks over ``README.md`` and ``docs/*.md``:
 2. **Doctests** — every ``>>>`` example inside the files runs under
    ``doctest`` (the same extraction ``python -m doctest file`` uses),
    so the snippets in the docs cannot drift from the code.
+
+And one over ``EXPERIMENTS.md``: every paper artifact has a table
+between ``<!-- paper.py NAME -->`` markers, equal to its rendering of
+the golden file ``benchmarks/paper_golden.txt``.
 
 Run directly (exits non-zero on any failure)::
 
@@ -88,20 +93,38 @@ def check_doctests(files: List[Path]) -> List[str]:
     return errors
 
 
+# -- paper tables -------------------------------------------------------------
+def check_golden_tables(path: Path = REPO_ROOT / "EXPERIMENTS.md") -> List[str]:
+    """Return one error string per paper table of ``path`` that is
+    missing or differs from its rendering of the golden file."""
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+    import paper
+
+    text = path.read_text(encoding="utf-8")
+    ours = {m.group(2): m.group(0) for m in paper.BLOCK.finditer(text)}
+    golden = {m.group(2): m.group(0)
+              for m in paper.BLOCK.finditer(paper.render_docs(text, paper.read_golden()))}
+    return [f"{path.name}: table {name!r} "
+            + ("missing" if name not in ours else "differs from the golden file")
+            + " (regenerate with benchmarks/paper.py)"
+            for name in paper.ARTIFACTS if ours.get(name) != golden.get(name, "")]
+
+
 def main() -> int:
     files = doc_files()
     missing = [f.name for f in files if not f.exists()]
     if missing:
         print(f"missing doc files: {missing}", file=sys.stderr)
         return 1
-    errors = check_links(files) + check_doctests(files)
+    errors = check_links(files) + check_doctests(files) + check_golden_tables()
     for error in errors:
         print(error, file=sys.stderr)
     tried = sum(
         len(doctest.DocTestParser().get_examples(f.read_text(encoding="utf-8")))
         for f in files
     )
-    print(f"checked {len(files)} files: links ok, {tried} doctest example(s)"
+    print(f"checked {len(files)} files: links ok, {tried} doctest example(s), "
+          "paper tables ok"
           if not errors else f"{len(errors)} problem(s)")
     return 1 if errors else 0
 
