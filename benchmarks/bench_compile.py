@@ -6,16 +6,16 @@ Two measurements per application:
   kernels dispatch vectorized via a *synthesized* spec (no hand-written
   spec existed), how many via hand specs, how many stay interpreted, and
   the communication plan's predicted mirror-sync savings vs broadcast;
-* **mp sync traffic** — the same app run twice on the multiprocess
-  executor, ``--analysis static`` (no plan: every mirror holder gets
-  every delta) vs ``--analysis compile`` (plan-scoped: deltas for
-  neighbor-scoped properties are withheld from non-neighbor mirror
-  holders).  Values must stay bit-identical; ``extra_entries`` must drop
-  to the withheld count's complement.
+* **mp sync traffic** — one run of the app on the multiprocess
+  executor, whose communication plan withholds the deltas of
+  neighbor-scoped properties from non-neighbor mirror holders.  Its
+  values must equal an inline interpreted run's; ``withheld_entries``
+  counts the deltas the plan kept off the wire and ``extra_entries``
+  (deltas shipped to non-neighbor mirrors) must be zero.
 
-``--smoke`` shrinks the graph and asserts the PR's acceptance floor:
-at least 4 apps gain synthesized vectorized dispatch, and planned runs
-ship strictly fewer non-neighbor sync entries than unplanned ones.
+``--smoke`` shrinks the graph and asserts the acceptance floor: at
+least 4 apps gain synthesized vectorized dispatch, and the planned mp
+runs withhold deltas and ship no extra entries.
 
 Run directly::
 
@@ -72,47 +72,34 @@ def coverage_rows(apps):
     return rows
 
 
-def _mp_run(app, graph, workers, analysis):
-    start = time.perf_counter()
-    result = run_app("flash", app, graph, num_workers=workers,
-                     analysis=analysis, executor="mp")
-    wall = time.perf_counter() - start
-    dist = result.extra["distributed"]
-    # Top-level ``bytes_sent`` is the whole session (open, bootstrap and
-    # close included); the per-superstep rows sum to the superstep
-    # traffic the plan acts on.
-    step_bytes = sum(s["bytes_sent"] for s in dist["per_superstep"])
-    return result, wall, dist, step_bytes
-
-
 def mp_rows(apps, graph, workers):
     rows = {}
     for app in apps:
         prepared = prepare_graph(app, graph)
-        base, base_wall, base_dist, base_bytes = _mp_run(
-            app, prepared, workers, "static")
-        plan, plan_wall, plan_dist, plan_bytes = _mp_run(
-            app, prepared, workers, "compile")
-        if list(base.values) != list(plan.values):
-            raise AssertionError(f"{app}: planned mp run diverges from unplanned")
+        inline = run_app("flash", app, prepared, num_workers=workers)
+        start = time.perf_counter()
+        planned = run_app("flash", app, prepared, num_workers=workers, executor="mp")
+        wall = time.perf_counter() - start
+        if list(planned.values) != list(inline.values):
+            raise AssertionError(f"{app}: planned mp run diverges from the inline run")
+        dist = planned.extra["distributed"]
         rows[app] = {
             "workers": workers,
-            "wall_s_static": round(base_wall, 4),
-            "wall_s_compile": round(plan_wall, 4),
-            "sync_entries": plan_dist["sync_entries"],
-            "extra_entries_static": base_dist["extra_entries"],
-            "extra_entries_compile": plan_dist["extra_entries"],
-            "withheld_entries": plan_dist["withheld_entries"],
-            "withheld_values": plan_dist["withheld_values"],
-            "reshipped_columns": plan_dist.get("reshipped_columns", 0),
-            "bytes_sent_static": base_bytes,
-            "bytes_sent_compile": plan_bytes,
+            "wall_s": round(wall, 4),
+            "sync_entries": dist["sync_entries"],
+            "extra_entries": dist["extra_entries"],
+            "withheld_entries": dist["withheld_entries"],
+            "withheld_values": dist["withheld_values"],
+            "reshipped_columns": dist.get("reshipped_columns", 0),
+            # Top-level ``bytes_sent`` is the whole session (open,
+            # bootstrap and close included); the per-superstep rows sum
+            # to the superstep traffic the plan acts on.
+            "bytes_sent": sum(s["bytes_sent"] for s in dist["per_superstep"]),
         }
         row = rows[app]
-        print(f"{app:5s} mp x{workers}: extra entries "
-              f"{row['extra_entries_static']} -> {row['extra_entries_compile']} "
-              f"(withheld {row['withheld_entries']}), bytes "
-              f"{row['bytes_sent_static']} -> {row['bytes_sent_compile']}")
+        print(f"{app:5s} mp x{workers}: {row['sync_entries']} sync entries, "
+              f"{row['withheld_entries']} withheld, {row['extra_entries']} extra, "
+              f"{row['bytes_sent']} bytes")
     return rows
 
 
@@ -140,8 +127,7 @@ def main(argv=None) -> int:
 
     covered = [app for app, row in coverage.items() if row["synthesized"] > 0]
     total_withheld = sum(r["withheld_entries"] for r in traffic.values())
-    total_extra_static = sum(r["extra_entries_static"] for r in traffic.values())
-    total_extra_compile = sum(r["extra_entries_compile"] for r in traffic.values())
+    total_extra = sum(r["extra_entries"] for r in traffic.values())
 
     payload = {
         "config": {
@@ -156,12 +142,8 @@ def main(argv=None) -> int:
         "mp_traffic": traffic,
         "headline": {
             "apps_with_synthesized_dispatch": covered,
-            "extra_entries_static": total_extra_static,
-            "extra_entries_compile": total_extra_compile,
+            "extra_entries": total_extra,
             "withheld_entries": total_withheld,
-            "extra_entry_reduction_pct": round(
-                100.0 * (1 - total_extra_compile / total_extra_static), 1
-            ) if total_extra_static else 0.0,
         },
     }
 
@@ -170,21 +152,15 @@ def main(argv=None) -> int:
             f"expected >=4 apps with synthesized vectorized dispatch, "
             f"got {covered}"
         )
-        assert total_extra_compile < total_extra_static, (
-            "planned runs must ship fewer non-neighbor sync entries "
-            f"({total_extra_compile} vs {total_extra_static})"
+        assert total_withheld > 0, "the planned mp runs must withhold deltas"
+        assert total_extra == 0, (
+            f"planned mp runs must ship no non-neighbor entries ({total_extra})"
         )
-        assert total_withheld == total_extra_static - total_extra_compile, (
-            "withheld accounting must explain the entry reduction"
-        )
-        for app, row in traffic.items():
-            assert row["bytes_sent_compile"] <= row["bytes_sent_static"], app
 
     head = payload["headline"]
     print(f"headline: {len(covered)} apps synthesized "
-          f"({', '.join(covered)}); mp extra entries "
-          f"{head['extra_entries_static']} -> {head['extra_entries_compile']} "
-          f"(-{head['extra_entry_reduction_pct']}%)")
+          f"({', '.join(covered)}); mp: {head['withheld_entries']} entries "
+          f"withheld, {head['extra_entries']} extra")
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     return 0

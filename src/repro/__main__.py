@@ -12,9 +12,11 @@ Usage::
     python -m repro lloc                       # Table I (measured vs paper)
     python -m repro lint --all                 # flashlint over every app
     python -m repro lint bfs cc --json         # ... selected apps, JSON out
+    python -m repro plan bfs --check           # compiled kernel plan, cross-validated
     python -m repro serve OR --clients 16      # graph-as-a-service load run
 
-The full benchmark harness lives in ``benchmarks/`` (pytest-benchmark).
+The paper's tables and figures are regenerated and checked against their
+golden file by ``benchmarks/paper.py --check``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import sys
 
 from repro import load_dataset
 from repro.analysis import paper
-from repro.core.analysis import ANALYSIS_MODES
 from repro.core.config import EXECUTORS, current_config, use_config
 from repro.analysis.lloc import TABLE1_ALGORITHMS, TABLE1_FRAMEWORKS, table1_rows
 from repro.analysis.tables import format_table
@@ -61,12 +62,6 @@ ENGINE_FLAGS = {
     "--oocore-budget-mb": dict(type=float, metavar="MB",
                                help="memory budget for mapped edge blocks under "
                                     "--backend oocore (default 64 MiB)"),
-    "--analysis": dict(choices=list(ANALYSIS_MODES),
-                       help="critical-property analysis mode: static (ahead-of-"
-                            "time, default), trace (runtime sampling), check "
-                            "(static + trace cross-check oracle), compile "
-                            "(static kernel compiler: spec synthesis + "
-                            "communication planning), off"),
 }
 
 
@@ -85,7 +80,6 @@ def _engine_config(args):
     return current_config().override(
         num_workers=args.workers, backend=getattr(args, "backend", None),
         executor=getattr(args, "executor", None),
-        analysis=getattr(args, "analysis", None),
         oocore_budget=None if budget_mb is None else int(budget_mb * 1024 * 1024),
     )
 
@@ -347,6 +341,10 @@ def cmd_plan(args) -> int:
                   f"{len(swapped)} kernel(s) swapped")
             for kernel in swapped:
                 print(f"  {kernel}")
+            kept = check_out["kept"]
+            print(f"hand specs kept (synthesis refused): {len(kept)}")
+            for kernel, reason in sorted(kept.items()):
+                print(f"  {kernel}: {reason}")
             if not check_out["ok"]:
                 for variant in check_out["variants"]:
                     for mismatch in variant["mismatches"]:

@@ -1,4 +1,4 @@
-"""The static kernel compiler (``analysis="compile"``).
+"""The static kernel compiler (every engine runs it).
 
 Three coordinated outputs, read off the front end's one lowering of each
 user function (:mod:`~repro.analysis.compile.frontend` into the IR of
@@ -16,8 +16,8 @@ its access sets from too):
   columns/bytes for one application.
 
 :mod:`~repro.analysis.compile.crosscheck` cross-validates synthesized
-against hand-written specs bit-identically (the compile counterpart of
-``analysis="check"``).
+against hand-written specs bit-identically (the compiler's counterpart of the static/trace
+cross-check).
 """
 
 from repro.analysis.compile.commplan import CommunicationPlan

@@ -1,7 +1,7 @@
 """Communication planning: static read/write sets -> minimal sync scopes.
 
 The second output of the static kernel compiler.  As kernels register
-with the engine (under ``analysis="compile"``), the plan folds each
+with the engine, the plan folds each
 kernel's Table II classification into a per-property *sync scope*:
 
 * ``"neighbor"`` — every reader of the property reaches it through a

@@ -1,14 +1,15 @@
 """Cross-validation of synthesized vs hand-written specs.
 
-The compile counterpart of ``analysis="check"``: run an application
-normally (hand-written specs win where they exist), then again under
-``use_config(force_synthesis=True)`` (synthesized specs replace hand
-ones wherever synthesis succeeds), and require the
-two runs to agree **bit-identically** — final property values and every
+The compiler's counterpart of the static/trace cross-check: run an
+application normally (hand-written specs win where they exist), then
+again under ``use_config(force_synthesis=True)`` (synthesized specs
+replace hand ones wherever synthesis succeeds), and require the two
+runs to agree **bit-identically** — final property values and every
 charged per-superstep metric (worker ops, reduce/sync message and value
 counts, frontier sizes).  Any disagreement means a synthesized kernel
 diverges from the hand spec it would replace, which the synthesizer's
-soundness rules promise cannot happen.
+soundness rules promise cannot happen.  A hand spec that survives the
+forced run is reported with the synthesizer's refusal.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class VariantCheck:
     #: kernels whose dispatch origin differed between the runs — i.e.
     #: the synthesized specs this check actually exercised
     swapped: List[str] = field(default_factory=list)
+    #: kernel -> why synthesis refused it, for the hand specs the forced
+    #: run still dispatched
+    kept: Dict[str, str] = field(default_factory=dict)
     values_match: bool = True
     supersteps_match: bool = True
     mismatches: List[str] = field(default_factory=list)
@@ -78,11 +82,16 @@ class CrossCheckResult:
                 seen.setdefault(kernel)
         return list(seen)
 
+    @property
+    def kept(self) -> Dict[str, str]:
+        return {k: reason for v in self.variants for k, reason in v.kept.items()}
+
     def describe(self) -> Dict[str, Any]:
         return {
             "app": self.app,
             "ok": self.ok,
             "swapped": self.swapped,
+            "kept": self.kept,
             "variants": [
                 {
                     "variant": v.variant,
@@ -102,7 +111,7 @@ def _run_variant(variant, graph, num_workers: int, forced: bool):
     merged kernel-plan entries)."""
     from repro.core.config import use_config
 
-    with use_config(backend="vectorized", analysis="compile", force_synthesis=forced), \
+    with use_config(backend="vectorized", force_synthesis=forced), \
             capture_plan() as cap:
         result = variant(graph, num_workers)
     records = [_signature(r) for r in result.engine.metrics.records]
@@ -139,6 +148,8 @@ def cross_validate(
             b = (forced_plan.get(key) or {}).get("origin")
             if a != b:
                 check.swapped.append(f"{key} ({a or 'interp'} -> {b or 'interp'})")
+            elif b == "hand" and forced_plan[key]["dispatched"]:
+                check.kept[key] = forced_plan[key]["reason"]
 
         if base_vals != forced_vals:
             check.values_match = False

@@ -1,8 +1,8 @@
 """The ``repro plan`` artifact: one application's compiled plan.
 
 :func:`build_plan` runs every FLASH variant of an application on a small
-deterministic graph under ``analysis="compile"`` with the vectorized
-backend, capturing three things:
+deterministic graph with the vectorized backend, capturing three
+things:
 
 * per-kernel Table II classification (the staticpass program capture);
 * per-kernel dispatch decision — vectorized via a hand-written spec,
@@ -34,8 +34,8 @@ _collectors: List["PlanCapture"] = []
 
 
 class PlanCapture:
-    """Ambient collector of every compile-mode engine created inside a
-    :func:`capture_plan` block."""
+    """Ambient collector of every engine that builds a kernel plan inside
+    a :func:`capture_plan` block."""
 
     def __init__(self) -> None:
         #: flashware id -> (partition, comm_plan, kernel_plan) — the
@@ -86,8 +86,8 @@ def capturing() -> bool:
 
 
 def note_engine(engine) -> None:
-    """Register one compile-mode engine with every active collector
-    (called from the engine's dispatch bookkeeping)."""
+    """Register one engine with every active collector (called from the
+    engine's dispatch bookkeeping)."""
     fw = engine.flashware
     for cap in _collectors:
         if id(fw) not in cap.engines:
@@ -171,7 +171,7 @@ def build_plan(app: str, num_workers: int = 4, graph=None) -> AppPlan:
         raise ValueError(f"unknown app {app!r}; expected one of {APPS}")
     if graph is None:
         graph = _plan_graph(app)
-    with use_config(backend="vectorized", analysis="compile"), \
+    with use_config(backend="vectorized"), \
             capture_program() as prog, capture_plan() as cap:
         for variant in _FLASH_VARIANTS[app]:
             variant(graph, num_workers)

@@ -75,6 +75,12 @@ RULES: Dict[str, tuple] = {
         "sync set — the cross-partition write would never reach the "
         "owner on a real cluster",
     ),
+    "static-trace-disagreement": (
+        ERROR,
+        "the captured run saw an access the static pass missed — the "
+        "sample trace disagreed with a kernel's verdict, or engine.get "
+        "promoted a property at runtime",
+    ),
 }
 
 #: ``repro lint --json`` payload schema.  Bump on any breaking change to
@@ -302,6 +308,10 @@ def lint_capture(capture: ProgramCapture, app: str = "") -> List[Finding]:
             critical=set(report.classification.critical),
         ))
     findings.extend(_program_findings(capture, app))
+    findings.extend(
+        Finding("static-trace-disagreement", ERROR, message, app)
+        for message in capture.unsound
+    )
     # Deterministic order: errors first, then by rule/kernel/message.
     findings.sort(key=lambda f: (f.severity != ERROR, f.rule, f.kernel, f.message))
     return findings

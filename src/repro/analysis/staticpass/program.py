@@ -57,8 +57,11 @@ class ProgramCapture:
     def __init__(self) -> None:
         self.reports: List[KernelReport] = []
         #: Runtime diagnostics raised during the captured run (static
-        #: fallbacks, trace disagreements under ``analysis="check"``).
+        #: fallbacks, static/trace disagreements, runtime promotions).
         self.diagnostics: List[str] = []
+        #: Those showing a static verdict incomplete: static/trace
+        #: disagreements and runtime promotions.
+        self.unsound: List[str] = []
         self._by_key: Dict[Tuple, KernelReport] = {}
         #: engine id -> its flashware, held so ids stay unique while capturing
         self.live: Dict[int, Any] = {}
@@ -123,10 +126,12 @@ def record(
         collector.add(report)
 
 
-def record_diagnostic(message: str) -> None:
+def record_diagnostic(message: str, unsound: bool = False) -> None:
     """Forward a runtime diagnostic to every active collector."""
     for collector in _collectors:
         collector.diagnostics.append(message)
+        if unsound:
+            collector.unsound.append(message)
 
 
 @contextmanager

@@ -77,7 +77,7 @@ def cross_check(
     traced_seen: Set[str],
 ) -> Optional[str]:
     """Compare the static verdict against a runtime trace of the same
-    kernel (the *oracle* role tracing keeps under ``analysis="check"``).
+    kernel (the *oracle* role tracing keeps under a program capture).
 
     A sound static pass must cover everything the trace observed; a
     single-path trace legitimately sees *less* (branches not taken on

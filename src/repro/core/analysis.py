@@ -8,27 +8,22 @@ to mirrors) iff it is ``get`` as the **source** property of an
 ``EDGEMAPDENSE``, or ``get``/``put`` as the **target** property of an
 ``EDGEMAPSPARSE``.
 
-This module is the engine-side dispatcher between the two
-reproductions of that analysis, chosen by the engine's ``analysis``
-setting (``FlashEngine(analysis=...)``, or ambiently through
-:func:`~repro.core.config.use_config`; docs/static_analysis.md
-"Analysis modes"):
+This module is the engine-side dispatcher.  Every kernel plan takes one
+path (docs/static_analysis.md "How the engine analyses a kernel"):
 
-* ``static`` (default): the ahead-of-time pass
-  (:mod:`repro.analysis.staticpass`) over all control-flow branches;
-  a kernel it reports incomplete falls back to the runtime tracer, with
-  a diagnostic;
-* ``trace``: the user functions run once against recording views on a
-  sample edge (writes discarded, no ops charged) and the events are
-  classified by the same table — branch-dependent accesses may be
-  missed, which the engine's ``get`` handle patches by promoting
-  remotely read properties at runtime;
-* ``check``: static sets applied, then the trace as a cross-check
-  oracle — anything the trace observes that the static pass missed
-  becomes a diagnostic;
-* ``compile``: ``static`` plus spec synthesis and the communication plan
-  (:mod:`repro.analysis.compile`);
-* ``off``: no analysis (also ``FlashEngine(auto_analyze=False)``).
+1. the ahead-of-time pass (:mod:`repro.analysis.staticpass`) classifies
+   every access on every control-flow branch and registers the critical
+   set with FLASHWARE;
+2. the verdict is folded into the engine's communication plan
+   (:mod:`repro.analysis.compile.commplan`);
+3. only when the verdict is missing (an analyzer failure) or incomplete
+   does the *sample trace* run: the user functions run once against
+   recording views on a sample edge (writes discarded, no ops charged)
+   and what they touch is classified by the same table.
+
+Under a whole-program capture (``repro lint``, tests) the trace also
+runs for complete kernels, as the static pass's oracle: anything it
+observes that the static pass missed becomes a capture diagnostic.
 """
 
 from __future__ import annotations
@@ -40,13 +35,6 @@ from repro.core.subset import VertexSubset
 from repro.core.vertex import TracingView
 
 Event = Tuple[str, str, str]  # (op, role, property)
-
-#: The engine's ``analysis`` settings (validated by
-#: :class:`~repro.core.config.EngineConfig`).
-ANALYSIS_MODES = ("static", "trace", "check", "compile", "off")
-
-#: Modes that run the ahead-of-time pass before the kernel executes.
-_STATIC_MODES = ("static", "check", "compile")
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +126,14 @@ def _apply_static(
 
 def _observe_plan(engine, kind: str, label: str, static_res, virtual: bool) -> None:
     """Fold one kernel registration into the engine's communication plan
-    (``analysis="compile"`` only) and let a distributed flashware re-ship
-    columns whose deltas were withheld under a now-stale plan."""
-    plan = getattr(engine, "comm_plan", None)
+    (created here, on the engine's first kernel) and let a distributed
+    flashware re-ship columns whose deltas were withheld under a
+    now-stale plan."""
+    plan = engine.comm_plan
     if plan is None:
-        return
+        from repro.analysis.compile.commplan import CommunicationPlan
+
+        plan = engine.comm_plan = engine.flashware.comm_plan = CommunicationPlan()
     plan.observe(kind, label, static_res, virtual=virtual)
     hook = getattr(engine.flashware, "sync_comm_plan", None)
     if hook is not None:
@@ -150,108 +141,93 @@ def _observe_plan(engine, kind: str, label: str, static_res, virtual: bool) -> N
 
 
 def capturing() -> bool:
-    """Whether a whole-program capture (``repro lint``) is collecting."""
+    """Whether a whole-program capture (``repro lint``, tests) is
+    collecting."""
     return _get_staticpass().program.capturing()
 
 
 # ---------------------------------------------------------------------------
-# Engine entry points (one call per kernel plan; see FlashEngine._build_plan)
+# The engine entry point (one call per kernel plan; see FlashEngine._build_plan)
 # ---------------------------------------------------------------------------
-def _analyze(engine, kind: str, label: str, spec, virtual: bool, fns, trace):
-    """The static pass first (under the static modes), then — unless its
-    verdict is complete under ``static`` / ``compile`` — the sample
-    ``trace()``, which returns ``(critical, seen)`` or ``None`` when
-    there is nothing to sample.  Returns the static classification when
-    one was computed."""
-    mode = engine.analysis
-    if mode == "off":
-        return None
-    static_res = None
-    if mode in _STATIC_MODES:
-        static_res = _apply_static(engine, kind, label, spec=spec, **fns)
-        _observe_plan(engine, kind, label, static_res, virtual=virtual)
-        if mode != "check" and static_res is not None and static_res.complete:
-            return static_res
-    traced = trace()
-    if traced is not None and mode == "check" and static_res is not None:
+def analyze(engine, kind: str, label: str, spec, subset: VertexSubset, edges, fns):
+    """Analyze one kernel before it runs — a VERTEXMAP when ``edges`` is
+    ``None`` (Table II never makes its accesses critical; only
+    ``engine.get`` reads, found statically or promoted at runtime, can
+    mark anything), else an EDGEMAP over ``edges``.  The static pass,
+    then the communication plan, then — when the static verdict is
+    missing or incomplete, or under a capture as the cross-check oracle
+    — the sample trace.  Returns the static classification (``None`` if
+    the analyzer failed)."""
+    static_res = _apply_static(engine, kind, label, spec=spec, **fns)
+    virtual = edges is not None and not edges.within_graph
+    _observe_plan(engine, kind, label, static_res, virtual=virtual)
+    check = capturing()
+    if static_res is not None and static_res.complete and not check:
+        return static_res
+    if edges is None:
+        traced = trace_vertex_map(engine, subset, **fns)
+    else:
+        traced = trace_edge_map(engine, kind, subset, edges, **fns)
+    if check and traced is not None and static_res is not None:
         _cross_check(engine, static_res, *traced, label)
     return static_res
 
 
-def analyze_vertex_map(engine, subset: VertexSubset, F, M, label: str = "", spec=None):
-    """Analyze a VERTEXMAP call.  Per Table II, VERTEXMAP accesses are
-    never critical; only ``engine.get`` reads inside the map (found
-    statically, or promoted at runtime) can mark anything.  Returns the
-    static classification when one was computed."""
-
-    def trace():
-        sample = next(iter(subset), None)
-        if sample is None:
-            return None
-        events: List[Event] = []
-        v = TracingView(engine, sample, "self", events)
-        with engine.flashware.suppressed_ops():
-            _run_traced(F, (v,))
-            _run_traced(M, (v,))
-        return set(), classify_events("vertex_map", events)[1]
-
-    return _analyze(engine, "vertex_map", label, spec, False, {"F": F, "M": M}, trace)
+def trace_vertex_map(engine, subset: VertexSubset, F, M):
+    """The sample trace of a VERTEXMAP: ``(set(), seen)`` — per Table II
+    its accesses are never critical — or ``None`` for an empty subset."""
+    sample = next(iter(subset), None)
+    if sample is None:
+        return None
+    events: List[Event] = []
+    v = TracingView(engine, sample, "self", events)
+    with engine.flashware.suppressed_ops():
+        _run_traced(F, (v,))
+        _run_traced(M, (v,))
+    return set(), classify_events("vertex_map", events)[1]
 
 
-def analyze_edge_map(
-    engine,
-    kind: str,
-    subset: VertexSubset,
-    edges: EdgeSet,
-    F,
-    M,
-    C,
-    R,
-    label: str = "",
-    spec=None,
+def trace_edge_map(
+    engine, kind: str, subset: VertexSubset, edges: EdgeSet, F, M, C=None, R=None
 ):
-    """Analyze an EDGEMAP call and mark the critical properties before
-    the kernel runs.  Returns the static classification when one was
-    computed."""
-
-    def trace():
-        sample = None
-        for u in subset:
-            targets = edges.out_targets(engine, u)
-            if len(targets):
-                sample = (u, int(targets[0]))
-                break
-        if sample is None:
-            # No active edge anywhere in the subset: a role-faithful trace
-            # is impossible.  (The old fallback traced a (first, first)
-            # self-loop, conflating the source and target roles — in a
-            # sparse kernel that promoted source-read properties to
-            # critical and over-synced.)
-            return None
-        events: List[Event] = []
-        src = TracingView(engine, sample[0], "source", events)
-        dst = TracingView(engine, sample[1], "target", events)
-        tmp = TracingView(engine, sample[1], "target", events)
-        fw = engine.flashware
-        with fw.suppressed_ops():
-            _run_traced(C, (dst,))
-            _run_traced(F, (src, dst))
-            _run_traced(M, (src, dst))
-            _run_traced(R, (tmp, dst))
-        critical, seen = classify_events(kind, events)
-        fw.mark_critical(p for p in critical if fw.state.has_property(p))
-        return critical, seen
-
-    fns = {"F": F, "M": M, "C": C, "R": R}
-    return _analyze(engine, kind, label, spec, not edges.within_graph, fns, trace)
+    """The sample trace of an EDGEMAP over the first *real* active edge:
+    marks what it classifies critical and returns ``(critical, seen)``,
+    or ``None`` when no vertex of the subset has an out-edge."""
+    sample = None
+    for u in subset:
+        targets = edges.out_targets(engine, u)
+        if len(targets):
+            sample = (u, int(targets[0]))
+            break
+    if sample is None:
+        # No active edge anywhere in the subset: a role-faithful trace
+        # is impossible.  (The old fallback traced a (first, first)
+        # self-loop, conflating the source and target roles — in a
+        # sparse kernel that promoted source-read properties to
+        # critical and over-synced.)
+        return None
+    events: List[Event] = []
+    src = TracingView(engine, sample[0], "source", events)
+    dst = TracingView(engine, sample[1], "target", events)
+    tmp = TracingView(engine, sample[1], "target", events)
+    fw = engine.flashware
+    with fw.suppressed_ops():
+        _run_traced(C, (dst,))
+        _run_traced(F, (src, dst))
+        _run_traced(M, (src, dst))
+        _run_traced(R, (tmp, dst))
+    critical, seen = classify_events(kind, events)
+    fw.mark_critical(p for p in critical if fw.state.has_property(p))
+    return critical, seen
 
 
 def _cross_check(engine, static_res, traced_critical, traced_seen, label) -> None:
-    """Under ``analysis="check"``: compare trace oracle vs static pass
-    and surface soundness disagreements (trace saw something static
-    missed) as diagnostics."""
+    """Under a capture: compare the trace oracle with the static pass and
+    surface soundness disagreements (the trace saw something the static
+    pass missed) as diagnostics."""
     disagreement = _get_staticpass().cross_check(static_res, traced_critical, traced_seen)
     if disagreement is not None:
         engine.note_diagnostic(
-            f"static/trace disagreement on {label or static_res.kind}: {disagreement}"
+            f"static/trace disagreement on {label or static_res.kind}: {disagreement}",
+            unsound=True,
         )

@@ -3,17 +3,15 @@
 An :class:`EngineConfig` holds every setting a
 :class:`~repro.core.engine.FlashEngine` runs under.  The ambient record
 lives in one :class:`~contextvars.ContextVar`, scoped by
-:func:`use_config` — so engines built where no keyword reaches them
-(inside an algorithm, a suite runner or a server) inherit it, and a
-scope on one thread never leaks into another::
+:func:`use_config`, so engines built where no keyword reaches them
+inherit it and a scope on one thread never leaks into another::
 
-    with use_config(backend="vectorized", analysis="compile"):
+    with use_config(backend="vectorized", num_workers=2):
         result = bfs(graph, root=0)
 
-An engine layers its explicit keywords over :func:`current_config` at
-construction and never reads the ambient record again.  The record is
-validated in one place (:meth:`EngineConfig.__post_init__`); every
-invalid setting raises :class:`~repro.errors.FlashUsageError`.
+An engine layers its keywords over :func:`current_config` (or the record
+it is handed) at construction and never reads the ambient record again.
+Every invalid setting raises :class:`~repro.errors.FlashUsageError`.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.core.analysis import ANALYSIS_MODES
 from repro.errors import FlashUsageError
 from repro.runtime.vectorized.dispatch import BACKENDS
 
@@ -41,9 +38,9 @@ class EngineConfig:
 
     ``dense_threshold=None`` is Ligra's ``|arcs| / 20``, ``tracer=None``
     the no-op tracer, and ``oocore_*=None`` the out-of-core defaults of
-    :mod:`repro.graph.blocks`.  ``force_synthesis`` makes
-    ``analysis="compile"`` engines replace hand-written specs with
-    synthesized ones (``repro plan --check``)."""
+    :mod:`repro.graph.blocks`.  ``force_synthesis`` makes columnar
+    engines replace hand-written specs with synthesized ones (``repro
+    plan --check``)."""
 
     num_workers: int = 4
     options: Optional[FlashwareOptions] = None
@@ -51,8 +48,6 @@ class EngineConfig:
     partition_strategy: str = "hash"
     backend: str = "interp"
     executor: str = "inline"
-    analysis: str = "static"
-    remote_promotion: bool = True
     tracer: Optional[Tracer] = None
     oocore_budget: Optional[int] = None
     oocore_interval: Optional[int] = None
@@ -60,11 +55,8 @@ class EngineConfig:
     force_synthesis: bool = False
 
     def __post_init__(self) -> None:
-        for kind, name, allowed in (
-            ("backend", self.backend, BACKENDS),
-            ("analysis mode", self.analysis, ANALYSIS_MODES),
-            ("executor", self.executor, EXECUTORS),
-        ):
+        for kind, name, allowed in (("backend", self.backend, BACKENDS),
+                                    ("executor", self.executor, EXECUTORS)):
             if name not in allowed:
                 raise FlashUsageError(
                     f"unknown {kind} {name!r}; expected one of {', '.join(allowed)}"
@@ -84,9 +76,17 @@ class EngineConfig:
 
     def override(self, **fields) -> "EngineConfig":
         """This record with each field not passed as ``None`` replaced."""
+        for name in fields.keys() - self.__dataclass_fields__:
+            if name not in _RETIRED or fields.pop(name) != _RETIRED[name]:
+                raise FlashUsageError(f"unknown or removed engine setting {name!r} (every "
+                                      "engine runs the static pass and kernel compiler)")
         given = {name: value for name, value in fields.items() if value is not None}
         return replace(self, **given) if given else self
 
+
+#: Removed settings the frozen benchmark (``perf/``) still passes, accepted only at
+#: the value that is now the one behaviour; they go when its definition drops them.
+_RETIRED = {"auto_analyze": True, "analysis": "static", "remote_promotion": True}
 
 _CONFIG: ContextVar[EngineConfig] = ContextVar("repro_engine_config", default=EngineConfig())
 
@@ -97,9 +97,7 @@ def current_config() -> EngineConfig:
 
 
 @contextmanager
-def use_config(
-    base: Optional[EngineConfig] = None, /, **fields
-) -> Iterator[EngineConfig]:
+def use_config(base: Optional[EngineConfig] = None, /, **fields) -> Iterator[EngineConfig]:
     """Scope the ambient record: ``base`` (default: the current record)
     with each field not passed as ``None`` replaced.  Under an enabled
     tracer a backend change is marked on the trace timeline (a

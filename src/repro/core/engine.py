@@ -26,7 +26,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.analysis import analyze_edge_map, analyze_vertex_map, capturing
+from repro.core.analysis import analyze, capturing
 from repro.core import interp as _interp_loops
 from repro.core.config import EngineConfig, current_config
 from repro.core.dsu import DSU
@@ -38,7 +38,7 @@ from repro.errors import FlashUsageError
 from repro.graph.graph import Graph
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.costmodel import CostBreakdown, CostModel
-from repro.runtime.flashware import Flashware, FlashwareOptions
+from repro.runtime.flashware import Flashware
 from repro.runtime.metrics import Metrics
 from repro.runtime.tracing import Tracer
 from repro.runtime.vectorized.arcs import ResidentArcs
@@ -78,19 +78,27 @@ class _RemoteGetView(VertexView):
 
     The static pass (:mod:`repro.analysis.staticpass`) reaches the same
     verdict ahead of time for ``get`` calls inside kernel user functions,
-    so under ``analysis="static"`` this runtime promotion is a redundant
-    safety net; ``FlashEngine(remote_promotion=False)`` disables it to
-    prove exactly that (see ``tests/test_static_parity.py``)."""
+    so inside a kernel of an analyzable program this runtime promotion is
+    a safety net that never fires.  Each promotion it performs inside a
+    superstep is a diagnostic (forwarded to any program capture), which is
+    how ``tests/test_static_parity.py`` proves the static sets complete.
+    Driver code between supersteps (BCC's cycle walk) makes reads no
+    kernel verdict covers; they promote without one."""
 
     __slots__ = ()
 
     def __getattr__(self, name: str) -> Any:
         value = super().__getattr__(name)
         engine = self._engine
-        if engine.remote_promotion:
-            fw = engine.flashware
-            if not fw.is_critical(name) and fw.state.has_property(name):
-                fw.mark_critical([name])
+        fw = engine.flashware
+        if not fw.is_critical(name) and fw.state.has_property(name):
+            fw.mark_critical([name])
+            if fw._current is not None:
+                engine.note_diagnostic(
+                    f"runtime promotion: engine.get read {name!r} inside "
+                    f"{fw._current.kind}:{fw._current.label or '-'}, which no "
+                    "static verdict had marked critical", unsound=True,
+                )
         return value
 
 
@@ -106,48 +114,20 @@ class _KernelPlan(NamedTuple):
     reason: Optional[str]  # why no synthesized spec (``repro plan``)
     critical: FrozenSet[str]
     attribution: Dict[str, str]  # the superstep span's mode and F/M/C/R
+    entry: Dict[str, Any]  # the kernel's ``kernel_plan`` entry
 
 
 class FlashEngine:
     """Execution engine for FLASH programs over one graph."""
 
     def __init__(
-        self,
-        graph: Graph,
-        num_workers: Optional[int] = None,
-        options: Optional[FlashwareOptions] = None,
-        dense_threshold: Optional[int] = None,
-        partition_strategy: Optional[str] = None,
-        auto_analyze: bool = True,
-        backend: Optional[str] = None,
-        tracer: Optional[Tracer] = None,
-        analysis: Optional[str] = None,
-        remote_promotion: Optional[bool] = None,
-        cluster: Optional[ClusterSpec] = None,
-        executor: Optional[str] = None,
-        oocore_budget: Optional[int] = None,
-        oocore_interval: Optional[int] = None,
-        oocore_dir: Optional[str] = None,
+        self, graph: Graph, config: Optional[EngineConfig] = None, **overrides: Any
     ):
+        """``config`` (default: the ambient record, :func:`current_config`)
+        with each ``overrides`` field not passed as ``None`` replaced —
+        resolved once; an unknown field raises :class:`FlashUsageError`."""
         self.graph = graph
-        #: Every setting of this engine: the explicit keywords (``None``
-        #: = not given) layered over the ambient record, resolved once.
-        #: ``cluster`` stands for its worker count and
-        #: ``auto_analyze=False`` for ``analysis="off"``.
-        cfg = current_config().override(
-            num_workers=cluster.num_workers if cluster is not None else num_workers,
-            options=options,
-            dense_threshold=dense_threshold,
-            partition_strategy=partition_strategy,
-            backend=backend,
-            executor=executor,
-            analysis=analysis if auto_analyze else "off",
-            remote_promotion=remote_promotion,
-            tracer=tracer,
-            oocore_budget=oocore_budget,
-            oocore_interval=oocore_interval,
-            oocore_dir=oocore_dir,
-        )
+        cfg = (current_config() if config is None else config).override(**overrides)
         self.config: EngineConfig = cfg
         self.executor = cfg.executor
         self.backend = cfg.backend
@@ -177,27 +157,15 @@ class FlashEngine:
             max(graph.num_arcs // 20, 1) if cfg.dense_threshold is None
             else cfg.dense_threshold
         )
-        #: How critical properties are inferred: ``static`` (ahead-of-time
-        #: AST pass, the default), ``trace`` (runtime sample tracing),
-        #: ``check`` (static + trace oracle cross-check), ``compile``
-        #: (static + spec synthesis + communication plan) or ``off``.
-        self.analysis = cfg.analysis
-        #: Whether ``engine.get`` promotes properties to critical on
-        #: first remote read (the runtime safety net the static pass
-        #: makes redundant for analyzable programs).
-        self.remote_promotion = cfg.remote_promotion
-        #: The static kernel compiler's outputs (``analysis="compile"``):
-        #: per-property sync scopes consumed by the mp executor, and the
-        #: per-kernel dispatch decisions for the ``repro plan`` artifact.
+        #: The static kernel compiler's outputs: per-property sync scopes
+        #: consumed by the mp executor (built with the first kernel's
+        #: analysis), and the per-kernel dispatch decisions for the
+        #: ``repro plan`` artifact.
         self.comm_plan = None
         self.kernel_plan: Dict[str, Dict[str, Any]] = {}
-        if self.analysis == "compile":
-            from repro.analysis.compile.commplan import CommunicationPlan
-
-            self.comm_plan = CommunicationPlan()
-            self.flashware.comm_plan = self.comm_plan
-        #: Analysis diagnostics: static fallbacks, ``check``-mode
-        #: disagreements, vectorized-spec access mismatches.
+        #: Analysis diagnostics: static fallbacks, vectorized-spec access
+        #: mismatches and, under a capture, static/trace disagreements
+        #: and runtime promotions.
         self.diagnostics: List[str] = []
         self._diagnostic_keys: Set[str] = set()
         #: The kernel plan memo: one slot per ``(kind, label)`` holding
@@ -294,31 +262,32 @@ class FlashEngine:
         MSF), so the cost model sees the real per-worker load."""
         self.flashware.charge_ops(self._owner(vid), ops)
 
-    def note_diagnostic(self, message: str) -> None:
+    def note_diagnostic(self, message: str, unsound: bool = False) -> None:
         """Record an analysis diagnostic (deduplicated — a kernel may be
-        analysed again, e.g. under ``trace``/``check``) and forward it to
-        any active program capture (``repro lint`` collection)."""
+        analysed again, e.g. under a capture) and forward it to any active
+        program capture (``repro lint`` collection); ``unsound`` marks one
+        that shows a static verdict incomplete."""
         if message in self._diagnostic_keys:
             return
         self._diagnostic_keys.add(message)
         self.diagnostics.append(message)
         from repro.analysis.staticpass import program as _program
 
-        _program.record_diagnostic(message)
+        _program.record_diagnostic(message, unsound)
 
     # ------------------------------------------------------------------
-    # Static kernel compiler (analysis="compile")
+    # Static kernel compiler
     # ------------------------------------------------------------------
     def _compile_spec(self, kind, spec, edges, F, M, C, R):
-        """Under ``analysis="compile"`` on a columnar backend, fill a
-        missing spec (or, under ``force_synthesis``, replace the hand one)
-        with a synthesized spec.  Returns ``(spec, origin, reason)``
-        where origin is ``"hand"``, ``"synthesized"`` or ``None``
-        (interp) and reason says why synthesis gave no spec.  Edge
-        synthesis only applies to the plain edge set ``E`` — constructed
-        edge sets never dispatch columnar anyway."""
+        """On a columnar backend, fill a missing spec (or, under
+        ``force_synthesis``, replace the hand one) with a synthesized
+        spec.  Returns ``(spec, origin, reason)`` where origin is
+        ``"hand"``, ``"synthesized"`` or ``None`` (interp) and reason
+        says why synthesis gave no spec.  Edge synthesis only applies to
+        the plain edge set ``E`` — constructed edge sets never dispatch
+        columnar anyway."""
         hand = "hand" if spec is not None else None
-        if self.analysis != "compile" or self._col is None:
+        if self._col is None:
             return spec, hand, None
         if edges is not None and type(edges) is not BaseEdges:
             return spec, hand, f"edge set is not E ({type(edges).__name__})"
@@ -334,71 +303,46 @@ class FlashEngine:
             return synth, "synthesized", None
         return spec, hand, reason
 
-    def _note_plan(self, kind, label, plan, spec, dispatched) -> None:
-        """Record one kernel's dispatch decision for the plan artifact
-        (``repro plan`` / ``dist_summary``); adaptive kernels may visit
-        both modes, so ``dispatched`` accumulates, and ``reason`` says
-        why a kernel that never dispatched columnar stayed interpreted."""
-        if self.analysis != "compile":
-            return
-        origin = plan.origin
-        reason = None if dispatched else (
-            plan.reason or (f"{origin} spec declined" if spec is not None else "no spec")
-        )
+    def _plan_entry(self, kind, label, spec, origin, reason) -> Dict[str, Any]:
+        """The kernel's entry in the plan artifact (``repro plan`` /
+        ``dist_summary``), created by its first plan build; a later build
+        (a fresh bind under the same label) fills what is still open.
+        ``reason`` says why the kernel has no synthesized spec — and,
+        until it first dispatches columnar (see :meth:`_superstep`), why
+        it stays interpreted."""
         key = f"{kind}:{label or '-'}"
         entry = self.kernel_plan.get(key)
         if entry is None:
-            writes: List[str] = []
-            if spec is not None:
-                writes = sorted(spec.declared_access()["writes"])
-            self.kernel_plan[key] = {
-                "kind": kind,
-                "label": label or "-",
-                "origin": origin,
-                "dispatched": bool(dispatched),
-                "writes": writes,
-                "reason": reason,
+            entry = self.kernel_plan[key] = {
+                "kind": kind, "label": label or "-", "origin": None,
+                "dispatched": False, "writes": [], "reason": None,
             }
-        else:
-            entry["dispatched"] = entry["dispatched"] or bool(dispatched)
-            if entry["dispatched"]:
-                entry["reason"] = None
-            elif entry["reason"] is None:
-                entry["reason"] = reason
-            if entry["origin"] is None and origin is not None:
-                entry["origin"] = origin
-                if spec is not None:
-                    entry["writes"] = sorted(spec.declared_access()["writes"])
+        if entry["origin"] is None and origin is not None:
+            entry["origin"] = origin
+            entry["writes"] = sorted(spec.declared_access()["writes"])
+        if entry["reason"] is None and not entry["dispatched"]:
+            entry["reason"] = reason or (f"{origin} spec declined" if origin else "no spec")
         from repro.analysis.compile import plan as _plan
 
         if _plan.capturing():
             _plan.note_engine(self)
+        return entry
 
     def _build_plan(self, kind, mode, label, subset, edges, fns, key) -> _KernelPlan:
         """Build a kernel's plan by the full path; memoize it in its
         ``(kind, label)`` slot when the verdict may stand for the later
-        supersteps — complete and static under ``static`` / ``compile``,
-        outside a program capture (elsewhere the re-run is the point)."""
+        supersteps — complete, outside a program capture (elsewhere the
+        re-run is the point)."""
         F, M, C, R, hand = key[:5]
         spec, origin, reason = self._compile_spec(kind, hand, edges, F, M, C, R)
-        if edges is None:
-            verdict = analyze_vertex_map(self, subset, F, M, label=label, spec=spec)
-        else:
-            verdict = analyze_edge_map(
-                self, kind, subset, edges, F, M, C, R, label=label, spec=spec
-            )
+        verdict = analyze(self, kind, label, spec, subset, edges, fns)
         attribution = {"mode": mode} if mode else {}
         attribution.update((name, fn_label(fn)) for name, fn in fns.items())
         plan = _KernelPlan(
             key, spec, origin, reason, frozenset(verdict.critical if verdict else ()),
-            attribution,
+            attribution, self._plan_entry(kind, label, spec, origin, reason),
         )
-        if (
-            self.analysis in ("static", "compile")
-            and verdict is not None
-            and verdict.complete
-            and not capturing()
-        ):
+        if verdict is not None and verdict.complete and not capturing():
             self._plans[(kind, label)] = plan
         return plan
 
@@ -450,7 +394,10 @@ class FlashEngine:
             use_col = col.supports_vertex_map(fw.state, spec, F, M)
         else:
             use_col = col.supports_edge_map(fw.state, edges, spec, mode, F, C)
-        self._note_plan(kind, label, plan, spec, use_col)
+        entry = plan.entry
+        if use_col and not entry["dispatched"]:
+            # the kernel keeps only the synthesizer's refusal, if any
+            entry["dispatched"], entry["reason"] = True, plan.reason
         backend = col.name if use_col else "interp"
         self.metrics.note_backend(backend)
         fw.annotate_span(backend=backend)
@@ -642,9 +589,8 @@ class FlashEngine:
 
     def dist_summary(self) -> Dict[str, Any]:
         """Real-traffic totals of the multi-process executor (empty dict
-        on the inline executor, where no physical messages exist).  Under
-        ``analysis="compile"`` the communication plan and per-kernel
-        dispatch decisions ride along."""
+        on the inline executor, where no physical messages exist).  The
+        communication plan and per-kernel dispatch decisions ride along."""
         summarize = getattr(self.flashware, "dist_summary", None)
         out = summarize() if summarize is not None else {}
         if self.comm_plan is not None and out:

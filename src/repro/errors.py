@@ -38,8 +38,9 @@ class StaleReadError(DistributedError):
     """A worker read a property of a vertex it does not master whose
     mirror copy may be stale (the property is not *critical*, so committed
     changes were never synchronized to this worker).  This only happens
-    when the critical-property analysis is off or incomplete; run with
-    ``analysis="static"`` (the default) or mark the property critical."""
+    when the critical-property analysis missed the read (an incomplete
+    kernel whose sample trace did not see it); mark the property
+    critical (``engine.flashware.mark_critical``)."""
 
 
 class WorkerCrashError(DistributedError):

@@ -5,9 +5,10 @@ The paper's testbed is a 4-node cluster, each node with 32 cores at
 knobs the evaluation sweeps — node count (Fig. 4c,d) and per-node core
 count (Fig. 4b) — and is consumed by the cost model.
 
-A spec also drives *real* execution: ``FlashEngine(cluster=spec,
-executor="mp")`` spawns one OS worker process per node and exchanges
-actual mirror-synchronization messages between them (see
+A spec also drives *real* execution: ``FlashEngine(graph,
+num_workers=spec.num_workers, executor="mp")`` (or ``run_app(...,
+cluster=spec, executor="mp")``) spawns one OS worker process per node
+and exchanges actual mirror-synchronization messages between them (see
 :mod:`repro.runtime.distributed` and ``docs/distributed.md``).  The
 multiprocess executor needs ``nodes >= 2``; a single-node spec keeps the
 inline simulator.

@@ -894,8 +894,8 @@ class DistributedFlashware(Flashware):
         self.state = state
         state.attach_session(session)
         self.session = session
-        #: Communication-plan reconciliation state (``analysis="compile"``
-        #: sets ``comm_plan`` on this flashware): properties whose mirror
+        #: Communication-plan reconciliation state (the engine sets
+        #: ``comm_plan`` on this flashware with its first kernel): properties whose mirror
         #: deltas have been withheld from out-of-scope workers, and the
         #: plan version those withholdings were sound against.
         self._withheld_props: Set[str] = set()
@@ -970,7 +970,7 @@ class DistributedFlashware(Flashware):
         if fresh:
             session.mark_critical(fresh)
 
-    # -- communication plan (analysis="compile") ------------------------
+    # -- communication plan --------------------------------------------
     def note_withheld(self, names: Iterable[str]) -> None:
         """Record that deltas of ``names`` were withheld from some
         workers — their stale copies must be repaired if the plan ever

@@ -70,8 +70,9 @@ class GuardedState:
                 f"worker {s.rank} read non-critical property {name!r} of "
                 f"remote vertex {vid}, whose mirror copy may be stale "
                 f"(changes to {name!r} were committed without mirror sync). "
-                f'Run with analysis="static" (the default) so the property '
-                f"is marked critical ahead of time."
+                f"The static pass marks such a property critical ahead of time "
+                f"wherever it can analyse the kernel; this read escaped it, so "
+                f"mark {name!r} critical (engine.flashware.mark_critical)."
             )
         return self._state.get(vid, name)
 

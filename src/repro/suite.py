@@ -173,7 +173,6 @@ def run_app(
     graph: Graph,
     num_workers: int = 4,
     backend: Optional[str] = None,
-    analysis: Optional[str] = None,
     faults: Optional[Union[FaultPlan, str]] = None,
     checkpoint_policy: Optional[Callable[[], CheckpointPolicy]] = None,
     checkpoint_store: Optional[Callable[[], CheckpointStore]] = None,
@@ -185,8 +184,7 @@ def run_app(
     """Run one application on one framework.
 
     FLASH runs under one :func:`~repro.core.config.use_config` scope:
-    ``backend`` (``interp`` / ``vectorized`` / ``oocore``), ``analysis``
-    (``static`` / ``trace`` / ``check`` / ``compile`` / ``off``),
+    ``backend`` (``interp`` / ``vectorized`` / ``oocore``),
     ``tracer`` and ``executor`` (``inline``, the single-process
     simulation, or ``mp``, real worker processes — see
     :mod:`repro.runtime.distributed`) are layered over the ambient
@@ -232,8 +230,8 @@ def run_app(
         return SuiteRun(framework, app, baseline.metrics, baseline.values, dict(baseline.extra))
     if cluster is not None:
         num_workers = cluster.num_workers
-    with use_config(num_workers=num_workers, backend=backend, analysis=analysis,
-                    tracer=tracer, executor=executor) as cfg:
+    with use_config(num_workers=num_workers, backend=backend, tracer=tracer,
+                    executor=executor) as cfg:
         executor = cfg.executor
         if faults is not None and faults.has_process_faults and executor != "mp":
             raise FlashUsageError(

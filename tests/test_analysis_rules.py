@@ -89,16 +89,3 @@ class TestEngineIntegration:
 
         eng.vertex_map(eng.V, ctrue, m)
         assert eng.metrics.total_sync_values == 0
-
-    def test_analysis_disabled_means_no_marking(self):
-        eng = FlashEngine(
-            Graph.from_edges([(0, 1)]), num_workers=2, auto_analyze=False
-        )
-        eng.add_property("a", 0)
-
-        def m(s, d):
-            d.a = s.a + 1
-            return d
-
-        eng.edge_map_dense(eng.V, eng.E, ctrue, m)
-        assert eng.flashware.critical_properties == set()

@@ -10,14 +10,18 @@ ambient scope and its one validator.
   point it reaches;
 * the command line's engine flags reach FLASH only: ``compare`` runs
   its baselines under the caller's record whatever the flags say;
-* the structural guard: no ambient setting outside the record, and one
-  engine flag group on the command line.
+* the structural guard: no ambient setting outside the record, one
+  engine flag group on the command line, and the removed analysis
+  settings stay removed (the frozen benchmark's values excepted).
 """
 
 from __future__ import annotations
 
 import ast
 import asyncio
+import inspect
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -30,7 +34,8 @@ from repro.core.config import EngineConfig, current_config, use_config
 from repro.serving.server import GraphServer
 from repro.suite import run_app
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +45,7 @@ def graph():
 
 def _settings(engine):
     engine.close()
-    return engine.backend, engine.analysis
+    return engine.backend, engine.num_workers
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +55,7 @@ def test_a_scope_on_one_thread_is_invisible_on_another(graph):
     entered, built = threading.Event(), threading.Event()
 
     def holder():
-        with use_config(backend="vectorized", analysis="trace"):
+        with use_config(backend="vectorized", num_workers=3):
             entered.set()
             built.wait(10)
 
@@ -62,7 +67,7 @@ def test_a_scope_on_one_thread_is_invisible_on_another(graph):
     finally:
         built.set()
         thread.join()
-    assert _settings(engine) == ("interp", "static")
+    assert _settings(engine) == ("interp", 4)
 
 
 def test_interleaved_exits_leave_the_default(graph):
@@ -92,28 +97,31 @@ def test_interleaved_exits_leave_the_default(graph):
         t.join()
     assert seen == {"a": "vectorized", "b": "oocore"}
     assert current_config() == EngineConfig()
-    assert _settings(FlashEngine(graph)) == ("interp", "static")
+    assert _settings(FlashEngine(graph)) == ("interp", 4)
 
 
 def test_scope_nests_and_none_keeps_the_value():
     with use_config(backend="vectorized", num_workers=3) as outer:
         assert current_config() is outer
-        with use_config(backend=None, analysis="compile") as inner:
-            assert (inner.backend, inner.num_workers, inner.analysis) == (
-                "vectorized", 3, "compile")
+        with use_config(backend=None, dense_threshold=7) as inner:
+            assert (inner.backend, inner.num_workers, inner.dense_threshold) == (
+                "vectorized", 3, 7)
         assert current_config() is outer
     assert current_config() == EngineConfig()
 
 
 def test_engine_keywords_layer_over_the_ambient_record(graph):
-    with use_config(backend="vectorized", analysis="compile", num_workers=3):
-        engine = FlashEngine(graph, analysis="trace")
-    assert engine.config == EngineConfig(backend="vectorized", analysis="trace",
+    with use_config(backend="vectorized", dense_threshold=5, num_workers=3):
+        engine = FlashEngine(graph, dense_threshold=7)
+        given = FlashEngine(graph, EngineConfig(num_workers=2), backend="oocore")
+    assert engine.config == EngineConfig(backend="vectorized", dense_threshold=7,
                                          num_workers=3)
-    assert (engine.num_workers, engine.backend, engine.analysis) == (3, "vectorized", "trace")
-    engine.close()
-    off = FlashEngine(graph, auto_analyze=False)
-    assert off.analysis == off.config.analysis == "off"
+    assert (engine.num_workers, engine.backend, engine.dense_threshold) == (
+        3, "vectorized", 7)
+    # an explicit record replaces the ambient one; overrides still layer
+    assert given.config == EngineConfig(num_workers=2, backend="oocore")
+    for e in (engine, given):
+        e.close()
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +159,16 @@ def test_replacement_engine_matches_the_pool(graph, fields, check):
 # ---------------------------------------------------------------------------
 INVALID = {
     "unknown-backend": dict(backend="auto"),
-    "unknown-analysis": dict(analysis="nope"),
     "unknown-executor": dict(executor="threads"),
     "mp-vectorized": dict(executor="mp", backend="vectorized"),
     "mp-one-worker": dict(executor="mp", num_workers=1),
+}
+
+#: Names that are not fields, where a record is layered (``run_app``
+#: takes neither ``analysis`` nor engine keywords beyond its own).
+INVALID_FIELDS = {
+    "unknown-analysis": dict(analysis="nope"),
+    "unknown-setting": dict(cluster=None),
 }
 
 
@@ -181,13 +195,62 @@ def test_explicit_mp_over_an_ambient_backend_is_refused(graph):
             run_app("flash", "bfs", graph, executor="mp")
 
 
-@pytest.mark.parametrize("fields", list(INVALID.values()), ids=list(INVALID))
-@pytest.mark.parametrize("entry", [_flash_engine, _run_app, _use_config],
-                         ids=["FlashEngine", "run_app", "use_config"])
+_ENTRIES = {"FlashEngine": _flash_engine, "run_app": _run_app, "use_config": _use_config}
+
+
+@pytest.mark.parametrize("entry, fields", [
+    pytest.param(_ENTRIES[entry], fields, id=f"{entry}-{name}")
+    for entry in _ENTRIES
+    for name, fields in {
+        **INVALID, **({} if entry == "run_app" else INVALID_FIELDS)
+    }.items()
+])
 def test_every_invalid_setting_raises_flash_usage_error(graph, entry, fields):
     with pytest.raises(FlashUsageError):
         entry(graph, fields)
     assert current_config() == EngineConfig()
+
+
+# ---------------------------------------------------------------------------
+# The removed analysis settings
+# ---------------------------------------------------------------------------
+def test_the_frozen_benchmark_keywords_still_construct(graph, monkeypatch):
+    """``perf/workloads.py`` passes the removed settings at the values
+    that are now the one behaviour; they are accepted and ignored."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perf.workloads import ENGINE_KW
+
+    assert {"auto_analyze", "analysis", "remote_promotion"} <= set(ENGINE_KW)
+    engine = FlashEngine(graph, **ENGINE_KW)
+    assert engine.config == EngineConfig()
+    engine.close()
+
+
+@pytest.mark.parametrize("fields", [
+    dict(analysis="trace"), dict(auto_analyze=False), dict(remote_promotion=False),
+], ids=["analysis", "auto_analyze", "remote_promotion"])
+def test_a_removed_setting_names_itself(graph, fields):
+    (name,) = fields
+    with pytest.raises(FlashUsageError, match=f"removed engine setting '{name}'"):
+        FlashEngine(graph, **fields)
+    with pytest.raises(FlashUsageError, match=f"removed engine setting '{name}'"):
+        with use_config(**fields):
+            pass
+
+
+def test_building_an_engine_loads_no_kernel_compiler():
+    """The communication plan is created with the first kernel's
+    analysis, so constructing an engine leaves the compiler unloaded."""
+    code = (
+        "import sys; from repro import FlashEngine, random_graph; "
+        "FlashEngine(random_graph(20, 40, seed=1), backend='vectorized').close(); "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis.compile')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +265,7 @@ def _compare_rows(capsys, *flags):
 
 def test_compare_runs_the_baselines_under_the_callers_record(capsys):
     plain = _compare_rows(capsys)
-    oocore = _compare_rows(capsys, "--backend", "oocore", "--oocore-budget-mb", "1",
-                           "--analysis", "compile")
+    oocore = _compare_rows(capsys, "--backend", "oocore", "--oocore-budget-mb", "1")
     baselines = {"pregel", "gas", "gemini", "ligra"}
     assert baselines <= set(plain)
     assert {k: oocore[k] for k in baselines} == {k: plain[k] for k in baselines}
@@ -227,7 +289,12 @@ DELETED = {
     "OocoreOptions", "_ambient", "current_oocore_options", "use_oocore",
     "use_tracer", "current_tracer", "_default_tracer",
     "force_synthesis", "synthesis_forced", "_force",
+    "ANALYSIS_MODES", "_STATIC_MODES",
 }
+
+#: Engine settings that left the record, the engine's keywords and the
+#: command line (``run_app`` keeps its own ``cluster``).
+REMOVED_SETTINGS = {"analysis", "remote_promotion", "auto_analyze", "cluster"}
 
 
 def _defined_names(tree: ast.Module):
@@ -258,11 +325,15 @@ def test_one_config():
         ]
     assert defined == {}
     assert context_vars == ["core/config.py"]
+    fields = set(EngineConfig.__dataclass_fields__)
+    engine_params = set(inspect.signature(FlashEngine.__init__).parameters)
+    assert not REMOVED_SETTINGS & (fields | engine_params)
+    assert "analysis" not in inspect.signature(run_app).parameters
 
     # The engine flags are declared once, in one table: no ``add_argument``
     # names one directly.
     assert set(ENGINE_FLAGS) == {"--workers", "--backend", "--executor",
-                                 "--analysis", "--oocore-budget-mb"}
+                                 "--oocore-budget-mb"}
     main_tree = ast.parse((SRC / "__main__.py").read_text(encoding="utf-8"))
     assert not [
         node.lineno for node in ast.walk(main_tree)
@@ -278,10 +349,12 @@ def test_one_config():
     }
     # Each subcommand takes the settings that apply to it: the two that
     # run FLASH programs take all of them, the server (thread-pooled
-    # inline engines) no executor or analysis mode, and the two that
-    # only size a partitioning just ``--workers``.
+    # inline engines) no executor, and the two that only size a
+    # partitioning just ``--workers``.  No subcommand takes ``--analysis``.
     assert {name: flags for name, flags in flag_sets.items() if flags} == {
         **dict.fromkeys(("run", "compare"), set(ENGINE_FLAGS)),
         "serve": {"--workers", "--backend", "--oocore-budget-mb"},
         **dict.fromkeys(("plan", "partition-stats"), {"--workers"}),
     }
+    assert not [name for name, p in subparsers.items()
+                if "--analysis" in p._option_string_actions]

@@ -162,7 +162,7 @@ def test_mp_single_worker_rejected():
 def test_mp_single_node_cluster_rejected():
     with pytest.raises(FlashUsageError, match="nodes=1"):
         FlashEngine(random_graph(10, 20, seed=0),
-                    cluster=ClusterSpec(nodes=1), executor="mp")
+                    num_workers=ClusterSpec(nodes=1).num_workers, executor="mp")
 
 
 def test_mp_vectorized_backend_rejected():

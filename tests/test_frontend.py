@@ -31,7 +31,7 @@ def _make_adder(c):
 @pytest.mark.parametrize("backend", ["interp", "vectorized"])
 def test_closure_constants_are_not_shared_between_closures(backend):
     graph = road_network(4, 4, seed=1)
-    with FlashEngine(graph, backend=backend, analysis="compile") as e:
+    with FlashEngine(graph, backend=backend) as e:
         e.add_property("x", 0)
         e.vertex_map(e.V, None, _make_adder(1), label="a")
         e.vertex_map(e.V, None, _make_adder(100), label="b")

@@ -76,9 +76,7 @@ class Seam:
     """One inline engine plus its partitioned twin over the same state."""
 
     def __init__(self, directed: bool, nworkers: int):
-        self.engine = FlashEngine(
-            _graph(directed), num_workers=nworkers, auto_analyze=False
-        )
+        self.engine = FlashEngine(_graph(directed), num_workers=nworkers)
         self.engine.add_property("val", 0)
         self.engine.add_property("hits", 0)
         self.engine.add_property("seen", ())

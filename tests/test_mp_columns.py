@@ -30,7 +30,7 @@ def _probe(engine):
 
 def test_shipped_columns_keep_scalars_and_kind():
     graph = random_graph(24, 60, seed=3)
-    with FlashEngine(graph, num_workers=2, executor="mp", auto_analyze=False) as engine:
+    with FlashEngine(graph, num_workers=2, executor="mp") as engine:
         fw = engine.flashware
         engine.add_property("x", 0)
         engine.add_property("d", 0.5)

@@ -54,9 +54,11 @@ class TestSuiteParity(SuiteParity):
 
     @pytest.mark.parametrize("app", sorted(SPECCED_APPS - {"kc"}) + ["mis", "bc"])
     def test_compile_analysis_parity(self, app, graph):
-        """Synthesized specs (analysis="compile") must stream through the
-        block kernels with the same values and charged metrics too."""
-        vec, ooc = _suite_pair(app, graph, analysis="compile")
+        """Synthesized specs — forced, so they replace the hand specs
+        wherever synthesis succeeds — must stream through the block
+        kernels with the same values and charged metrics too."""
+        with use_config(force_synthesis=True):
+            vec, ooc = _suite_pair(app, graph)
         assert ooc.values == vec.values, app
         vec_summary, _ = strip_io(vec.metrics.summary())
         ooc_summary, _ = strip_io(ooc.metrics.summary())

@@ -1,6 +1,5 @@
 """The engine's kernel plan memo: each kernel is analysed once per
-engine under ``analysis="static"`` / ``"compile"``, and nothing
-observable changes — values, charged metrics, critical sets,
+engine, and nothing observable changes — values, charged metrics, critical sets,
 diagnostics and lint captures all equal a run that re-analyses every
 superstep (the memo switched off).  No processes are started."""
 
@@ -65,11 +64,14 @@ def _observe(engine, result):
 def test_each_kernel_analysed_once(monkeypatch, road, algorithm):
     analysed = _counting(monkeypatch, staticpass, "analyze_kernel")
     checked = _counting(monkeypatch, staticpass, "check_spec")
-    engine = FlashEngine(road, num_workers=4, backend="vectorized", analysis="static")
+    entries = _counting(monkeypatch, engine_mod.FlashEngine, "_plan_entry")
+    engine = FlashEngine(road, num_workers=4, backend="vectorized")
     algorithm(engine, root=0)
     kernels = _kernels(engine)
     assert engine.metrics.num_supersteps > 3 * len(kernels)
     assert len(analysed) == len(kernels)
+    # a memo hit writes no plan entry (it flips ``dispatched`` at most)
+    assert len(entries) == len(kernels)
     # each (kind, spec) pair is validated once; spec-less kernels never
     assert len(checked) <= len(kernels)
     assert len({(kind, id(spec)) for kind, spec, _ in checked}) == len(checked)
@@ -77,10 +79,9 @@ def test_each_kernel_analysed_once(monkeypatch, road, algorithm):
 
 
 @pytest.mark.parametrize("backend", ["interp", "vectorized"])
-@pytest.mark.parametrize("analysis", ["static", "compile"])
-def test_memo_is_invisible(monkeypatch, road, backend, analysis):
+def test_memo_is_invisible(monkeypatch, road, backend):
     def run():
-        engine = FlashEngine(road, num_workers=4, backend=backend, analysis=analysis)
+        engine = FlashEngine(road, num_workers=4, backend=backend)
         return _observe(engine, sssp(engine, root=0)) + (engine.kernel_plan,)
 
     memo = run()
@@ -120,7 +121,7 @@ def _late_critical_program(engine):
 
 def test_property_declared_after_first_superstep(monkeypatch, road):
     def run():
-        engine = FlashEngine(road, num_workers=4, backend="interp", analysis="static")
+        engine = FlashEngine(road, num_workers=4, backend="interp")
         values = _late_critical_program(engine)
         first, *_, last = engine.metrics.records
         return (
@@ -144,7 +145,7 @@ def test_property_declared_after_first_superstep(monkeypatch, road):
 
 def test_recovery_replay_matches(monkeypatch, road):
     def run():
-        engine = FlashEngine(road, num_workers=3, backend="vectorized", analysis="static")
+        engine = FlashEngine(road, num_workers=3, backend="vectorized")
         report = run_with_recovery(
             engine,
             lambda eng: bfs(eng, root=0),
@@ -164,14 +165,13 @@ def test_recovery_replay_matches(monkeypatch, road):
     assert memo == run()
 
 
-@pytest.mark.parametrize("analysis", ["static", "compile"])
 @pytest.mark.parametrize(
     "algorithm", [lambda eng: bc(eng, root=0), lambda eng: kcore_basic(eng)],
     ids=["bc", "kcore"],
 )
-def test_fresh_binds_keep_one_slot_per_label(monkeypatch, road, algorithm, analysis):
+def test_fresh_binds_keep_one_slot_per_label(monkeypatch, road, algorithm):
     def run():
-        engine = FlashEngine(road, num_workers=4, backend="vectorized", analysis=analysis)
+        engine = FlashEngine(road, num_workers=4, backend="vectorized")
         return engine, _observe(engine, algorithm(engine))
 
     engine, memo = run()
@@ -182,10 +182,14 @@ def test_fresh_binds_keep_one_slot_per_label(monkeypatch, road, algorithm, analy
 
 
 def test_check_mode_traces_every_superstep(monkeypatch, road):
+    """The static/trace cross-check runs under a capture: every superstep
+    is analysed and traced, and nothing is memoized."""
     analysed = _counting(monkeypatch, staticpass, "analyze_kernel")
     traced = _counting(monkeypatch, core_analysis, "classify_events")
-    engine = FlashEngine(road, num_workers=4, backend="vectorized", analysis="check")
-    bfs(engine, root=0)
+    engine = FlashEngine(road, num_workers=4, backend="vectorized")
+    with staticpass.capture_program() as capture:
+        bfs(engine, root=0)
+    assert capture.diagnostics == []
     supersteps = engine.metrics.num_supersteps
     assert supersteps > 3 * len(_kernels(engine))
     assert len(analysed) == supersteps
@@ -203,7 +207,7 @@ class _OpaqueStep:
 
 def test_incomplete_kernel_traces_every_superstep(monkeypatch, road):
     traced = _counting(monkeypatch, core_analysis, "classify_events")
-    engine = FlashEngine(road, num_workers=4, backend="interp", analysis="static")
+    engine = FlashEngine(road, num_workers=4, backend="interp")
     engine.add_property("x", 0)
     step, frontier = _OpaqueStep(), engine.subset([0, 1])
     for _ in range(3):
@@ -222,7 +226,7 @@ def test_lint_capture_unchanged(monkeypatch):
 def test_capture_bypasses_existing_slots(road):
     """A slot built before a capture started must not hide the kernel
     from the capture."""
-    engine = FlashEngine(road, num_workers=4, backend="interp", analysis="static")
+    engine = FlashEngine(road, num_workers=4, backend="interp")
     engine.add_property("x", 0)
 
     def step(s, d):

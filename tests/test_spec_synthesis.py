@@ -1,4 +1,4 @@
-"""Spec synthesis (analysis="compile"): fuzzed interp parity, synthesizer
+"""Spec synthesis (the kernel compiler every engine runs): fuzzed interp parity, synthesizer
 unit behavior, communication planning and the plan artifact."""
 
 import numpy as np
@@ -44,9 +44,9 @@ def _signatures(metrics):
 
 def _run_pair(app, graph, **kwargs):
     interp = run_app("flash", app, prepare_graph(app, graph),
-                     analysis="static", backend="interp", **kwargs)
+                     backend="interp", **kwargs)
     compiled = run_app("flash", app, prepare_graph(app, graph),
-                       analysis="compile", backend="vectorized", **kwargs)
+                       backend="vectorized", **kwargs)
     return interp, compiled
 
 
@@ -323,6 +323,10 @@ class TestCrossValidate:
         result = cross_validate("bfs")
         assert result.ok, result.describe()
         assert result.swapped, "forcing synthesis should swap hand specs"
+        # the hand spec forced synthesis keeps says why synthesis refused
+        assert result.kept == {
+            "edge_map_dense:bfs:step": "dense C reads the written property"
+        }
 
     @pytest.mark.parametrize("app", ["mis", "gc"])
     def test_newly_covered_identical(self, app):
@@ -335,16 +339,12 @@ class TestCrossValidate:
 # ---------------------------------------------------------------------------
 class TestDistributedWithholding:
     def test_bfs_mp_withholds_and_matches(self):
-        graph = random_graph(24, 64, seed=5)
-        base = run_app("flash", "bfs", prepare_graph("bfs", graph),
-                       num_workers=2, analysis="static", executor="mp")
-        compiled = run_app("flash", "bfs", prepare_graph("bfs", graph),
-                           num_workers=2, analysis="compile", executor="mp")
-        assert base.values == compiled.values
-        dist = compiled.extra["distributed"]
-        base_dist = base.extra["distributed"]
+        graph = prepare_graph("bfs", random_graph(24, 64, seed=5))
+        inline = run_app("flash", "bfs", graph, num_workers=2)
+        planned = run_app("flash", "bfs", graph, num_workers=2, executor="mp")
+        assert planned.values == inline.values
+        dist = planned.extra["distributed"]
         # The planner withholds every delta a non-neighbor mirror would
-        # have received: extra entries go to zero, withheld counts them.
-        assert dist["withheld_entries"] == base_dist["extra_entries"]
+        # have received: no extra entries ship, withheld counts them.
+        assert dist["withheld_entries"] > 0
         assert dist["extra_entries"] == 0
-        assert dist["sync_entries"] == base_dist["sync_entries"]
