@@ -13,9 +13,10 @@ Architecture (docs/distributed.md has the full picture):
   is only what is specific to having several of them: splitting a
   superstep's vertices by owner, the transport, and merging the replies;
 * after every barrier its columnar commit is distributed as **delta
-  batches**: each changed vertex's critical properties go to every other
-  worker (charged for the necessary-mirror scope, the rest rides along to
-  serve beyond-neighborhood reads), and the owner gets the full change.
+  batches** of per-property ``(ids, values)`` column slices: each
+  changed vertex's critical properties go to every other worker (charged
+  for the necessary-mirror scope, the rest rides along to serve
+  beyond-neighborhood reads), and the owner gets the full change.
   Columns cross the pipe as they are stored (arrays or lists), so
   workers read the same Python scalars the driver does.
   Real message/entry counts are attached to each
@@ -44,6 +45,7 @@ import numpy as np
 
 from repro.core.edgeset import BaseEdges, EdgeSet
 from repro.core.interp import Temp, dense_targets
+from repro.core.subset import VertexSubset
 from repro.errors import DistributedError, FlashUsageError, WorkerCrashError
 from repro.runtime.distributed import shipping
 from repro.runtime.distributed.supervisor import WorkerSupervisor, reply_timeout
@@ -61,6 +63,7 @@ class WorkerPool:
 
     def __init__(self, nworkers: int):
         import multiprocessing as mp
+        from multiprocessing import resource_tracker
 
         self.nworkers = nworkers
         method = os.environ.get("REPRO_MP_START", "spawn")
@@ -85,6 +88,10 @@ class WorkerPool:
         self.respawns = 0
         self.respawn_wall_s = 0.0
         self.bytes_reshipped = 0
+        # Start the shared-memory tracker before the first worker: a
+        # fork-started worker then inherits it instead of starting its
+        # own, which would report the driver's segments as leaked.
+        resource_tracker.ensure_running()
         for rank in range(nworkers):
             self._spawn(rank)
         self.broadcast("ping", -1, None)
@@ -650,38 +657,48 @@ class DistSession:
             rec.worker_ops[i] += n
 
     def _offload(
-        self, engine, op: str, shares: List[list], request: Callable[[list], dict]
+        self,
+        engine,
+        op: str,
+        fns: Dict[str, Any],
+        shares: List[list],
+        data: Callable[[list], dict],
     ) -> Iterator[Tuple[int, Dict[str, Any]]]:
         """Run kernel ``op`` on every rank whose share (of vertices or
-        temps) is non-empty: ship ``request(share)``, then yield
-        ``(rank, reply)`` with the reply's ops and CPU seconds merged."""
-        items = [
-            (w, op, self.sid, shipping.dump_payload(request(share)))
-            for w, share in enumerate(shares)
-            if share
-        ]
+        temps) is non-empty, then yield ``(rank, reply)`` with the
+        reply's ops and CPU seconds merged.  A request is the user
+        functions ``fns``, pickled once by the shipping pickler, plus
+        ``data(share)`` — ids, edge mode, temps — which rides the plain
+        wire pickle."""
+        live = [(w, share) for w, share in enumerate(shares) if share]
+        if not live:
+            return
+        blob = shipping.dump_payload(fns)
+        items = [(w, op, self.sid, (blob, data(share))) for w, share in live]
         for (w, *_), reply in zip(items, self._request_many(items)):
             self._merge_ops(engine, reply["ops"])
             self._step_add_cpu(w, reply.get("cpu_s"))
             yield w, reply
 
-    def _offload_map(self, engine, op: str, shares, request):
+    def _offload_map(self, engine, op: str, fns, shares, data):
         """:meth:`_offload` for the kernels whose replies are disjoint
         ``out`` / ``updates`` shares (VERTEXMAP, dense)."""
         out: List[int] = []
         updates: Dict[int, Dict[str, Any]] = {}
-        for _w, reply in self._offload(engine, op, shares, request):
+        for _w, reply in self._offload(engine, op, fns, shares, data):
             out.extend(reply["out"])
             updates.update(reply["updates"])
         out.sort()
         return out, updates
 
     def _by_owner(self, vids: Iterable[int]) -> List[List[int]]:
-        owners = self.owners
-        by_w: List[List[int]] = [[] for _ in range(self.nworkers)]
-        for vid in vids:
-            by_w[owners[vid]].append(vid)
-        return by_w
+        """``vids`` split by owner rank, each share in ``vids``' order."""
+        if isinstance(vids, VertexSubset):
+            arr = vids.as_array()
+        else:
+            arr = np.fromiter(vids, dtype=np.int64)
+        owner = self.owners[arr]
+        return [arr[owner == w].tolist() for w in range(self.nworkers)]
 
     @staticmethod
     def _edge_mode(engine, edges: EdgeSet, neighbors, vids: List[int]) -> Tuple[Any, ...]:
@@ -700,8 +717,8 @@ class DistSession:
 
     def run_vertex_map(self, engine, subset, F, M) -> Tuple[List[int], Dict[int, Dict[str, Any]]]:
         return self._offload_map(
-            engine, "vertex_map", self._by_owner(subset),
-            lambda vids: {"F": F, "M": M, "vids": vids},
+            engine, "vertex_map", {"F": F, "M": M}, self._by_owner(subset),
+            lambda vids: {"vids": vids},
         )
 
     def run_edge_map_dense(
@@ -711,29 +728,31 @@ class DistSession:
             targets_by_w = self.members
         else:
             targets_by_w = self._by_owner(dense_targets(engine, edges))
-        shared = {"F": F, "M": M, "C": C, "subset": list(subset)}
+        members = list(subset)
 
-        def request(targets: List[int]) -> Dict[str, Any]:
+        def data(targets: List[int]) -> Dict[str, Any]:
             mode = self._edge_mode(engine, edges, edges.in_sources, targets)
-            return {**shared, "targets": targets, "edge_mode": mode}
+            return {"subset": members, "targets": targets, "edge_mode": mode}
 
-        return self._offload_map(engine, "dense", targets_by_w, request)
+        return self._offload_map(
+            engine, "dense", {"F": F, "M": M, "C": C}, targets_by_w, data
+        )
 
     def run_edge_map_sparse(
         self, engine, subset, edges: EdgeSet, F, M, C, R
     ) -> Tuple[List[int], Dict[int, Dict[str, Any]], Dict[int, Set[int]]]:
         owners = self.owners
 
-        def request(sources: List[int]) -> Dict[str, Any]:
+        def data(sources: List[int]) -> Dict[str, Any]:
             mode = self._edge_mode(engine, edges, edges.out_targets, sources)
-            return {"F": F, "M": M, "C": C, "sources": sources, "edge_mode": mode}
+            return {"sources": sources, "edge_mode": mode}
 
         # Route every temp ``(d, u, staged)`` to the master of ``d``.
         contributors: Dict[int, Set[int]] = {}
         fold_by_w: List[List[Temp]] = [[] for _ in range(self.nworkers)]
         temp_entries = 0
         for producer, reply in self._offload(
-            engine, "sparse_map", self._by_owner(subset), request
+            engine, "sparse_map", {"F": F, "M": M, "C": C}, self._by_owner(subset), data
         ):
             for temp in reply["temps"]:
                 d = temp[0]
@@ -745,7 +764,7 @@ class DistSession:
 
         updates: Dict[int, Dict[str, Any]] = {}
         for _w, reply in self._offload(
-            engine, "sparse_fold", fold_by_w, lambda temps: {"R": R, "temps": temps}
+            engine, "sparse_fold", {"R": R}, fold_by_w, lambda temps: {"temps": temps}
         ):
             updates.update(reply["updates"])
 
@@ -765,18 +784,20 @@ class DistSession:
         broadcast_all: bool,
     ) -> None:
         """Ship one barrier's columnar commit as per-worker batches of
-        ``(vid, {prop: value})`` entries: a changed vertex's owner gets
-        every changed property, the other workers its synced ones —
-        charged where the ``(|V|, P)`` necessary-mirror mask (or, under
+        ``{prop: (ids, values)}`` column slices (ids a plain list, values
+        the update column's slice): a changed vertex's owner gets every
+        changed property, the other workers its synced ones — charged
+        where the ``(|V|, P)`` necessary-mirror mask (or, under
         ``broadcast_all``, every partition) scopes the sync, riding along
-        elsewhere to serve beyond-neighborhood reads."""
+        elsewhere to serve beyond-neighborhood reads.  The entry counters
+        count changed vertices (one entry per vertex a worker hears of)."""
         fw = self.fw
         sco = fw.options.sync_critical_only
         nmo = fw.options.necessary_mirrors_only
         names = [name for name, mask in changed.items() if mask.any()]
         if not names:
             return
-        synced = {n for n in names if not sco or n in fw._critical}
+        synced = [n for n in names if not sco or n in fw._critical]
         staled = sorted(n for n in names if sco and n not in fw._critical)
         # The compile-mode communication plan: deltas of properties it
         # proved "neighbor"-scoped may be withheld from workers outside
@@ -788,18 +809,16 @@ class DistSession:
         if plan is not None and plan.active and sco and nmo and not broadcast_all:
             narrow = {n for n in synced if plan.scope_of(n) == "neighbor"}
 
-        # one row per changed vertex, with the payloads a worker may get
-        # for it: the owner's, a mirror's, and a mirror's out of scope
+        # one row per changed vertex; per property, the rows it changed at
         rows = np.flatnonzero(np.logical_or.reduce([changed[n] for n in names]))
         vids = ids[rows]
-        values = {n: col if isinstance(col, list) else col.tolist()
-                  for n, col in updates.items() if n in names}
-        full = [{n: values[n][i] for n in names if changed[n][i]} for i in rows.tolist()]
-        remote = [{n: v for n, v in props.items() if n in synced} for props in full]
-        kept = [{n: v for n, v in props.items() if n not in narrow} for props in remote]
-        has_remote = np.array([bool(props) for props in remote], dtype=bool)
-        has_kept = np.array([bool(props) for props in kept], dtype=bool)
-        withheld = np.array([len(r) - len(k) for r, k in zip(remote, kept)], dtype=np.int64)
+        at = {n: changed[n][rows] for n in names}
+        none = np.zeros(len(rows), dtype=bool)
+        has_remote = np.logical_or.reduce([none] + [at[n] for n in synced])
+        has_kept = np.logical_or.reduce(
+            [none] + [at[n] for n in synced if n not in narrow]
+        )
+        withheld = np.sum([none] + [at[n] for n in narrow], axis=0, dtype=np.int64)
         owners = self.owners[vids]
         if broadcast_all or not nmo:
             scope = np.ones((len(rows), self.nworkers), dtype=bool)
@@ -810,20 +829,34 @@ class DistSession:
             own = owners == w
             in_scope = has_remote & ~own & scope[:, w]
             out_scope = has_remote & ~own & ~scope[:, w]
-            entries = [
-                (int(vids[k]), full[k] if own[k] else remote[k] if in_scope[k] else kept[k])
-                for k in np.flatnonzero(own | in_scope | (out_scope & has_kept)).tolist()
-            ]
             self.step_add("commit_entries", int(own.sum()))
             self.step_add("sync_entries", int(in_scope.sum()))
             self.step_add("extra_entries", int((out_scope & has_kept).sum()))
             self.step_add("withheld_entries", int((out_scope & ~has_kept).sum()))
             self.step_add("withheld_values", int(withheld[out_scope].sum()))
-            for k in np.flatnonzero(out_scope & (withheld > 0)).tolist():
-                fw.note_withheld(remote[k].keys() - kept[k].keys())
-            if entries or staled:
-                items.append((w, "commit", self.sid, (entries, staled)))
+            gone = [n for n in narrow if (at[n] & out_scope).any()]
+            if gone:
+                fw.note_withheld(gone)
+            batch = {}
+            for n in names:
+                if n in narrow:
+                    pick = at[n] & (own | scope[:, w])
+                elif n in synced:
+                    pick = at[n]
+                else:
+                    pick = at[n] & own
+                if pick.any():
+                    batch[n] = (vids[pick].tolist(), _take(updates[n], rows[pick]))
+            if batch or staled:
+                items.append((w, "commit", self.sid, (batch, staled)))
         self._request_many(items)
+
+
+def _take(column: Any, positions: np.ndarray) -> Any:
+    """The values of an update column (array or list) at ``positions``."""
+    if isinstance(column, np.ndarray):
+        return column[positions]
+    return [column[i] for i in positions.tolist()]
 
 
 # ---------------------------------------------------------------------------

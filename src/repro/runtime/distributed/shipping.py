@@ -18,6 +18,11 @@ importable name), so :func:`dump_payload` pickles with two extensions:
   that the worker resolves against its own session (worker-local engine
   proxy, the shared graph, a rebuilt subset, the no-op tracer).
 
+Only the user functions of a kernel request go through this pickler;
+the request's ids, edge mode and temps ride the plain wire pickle, so
+the per-object :meth:`_ShippingPickler.persistent_id` callback runs a
+number of times that does not grow with the graph.
+
 Graphs ship once per (pool, graph) through
 :mod:`multiprocessing.shared_memory` where available: the CSR arrays,
 weights and edge endpoints are packed into one segment that every worker
@@ -28,6 +33,7 @@ fallback covers platforms without ``/dev/shm``.
 from __future__ import annotations
 
 import dis
+import functools
 import importlib
 import io
 import marshal
@@ -38,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.subset import VertexSubset
 from repro.errors import DistributedShipError
 
 #: Module roots whose functions are shipped by reference (importable in
@@ -140,31 +147,49 @@ def _fill_function(fn: types.FunctionType, state: tuple) -> types.FunctionType:
     return fn
 
 
+#: Types :meth:`_ShippingPickler.persistent_id` passes straight to plain
+#: pickle: the bulk of a payload (captured constants, containers).
+_PLAIN_TYPES = frozenset(
+    {int, float, bool, str, bytes, tuple, list, dict, set, frozenset, type(None)}
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _token_types() -> Tuple[Tuple[type, str], ...]:
+    """``(class, token)`` for the driver objects shipped as a token,
+    resolved on first use: this module is imported by the worker before
+    any engine exists, and must not create import cycles."""
+    from repro.core.engine import FlashEngine
+    from repro.graph.graph import Graph
+    from repro.runtime.flashware import Flashware
+    from repro.runtime.tracing import Tracer
+
+    return (
+        (FlashEngine, "engine"),
+        (Flashware, "flashware"),
+        (Graph, "graph"),
+        (Tracer, "tracer"),
+    )
+
+
 class _ShippingPickler(pickle.Pickler):
     """Pickler with driver-object substitution and by-value functions."""
 
     def __init__(self, file):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._tokens = _token_types()
 
-    def persistent_id(self, obj: Any):  # noqa: C901 - dispatch table
-        # Imports deferred: this module is imported by the worker before
-        # any engine exists, and must not create import cycles.
-        from repro.core.engine import FlashEngine
-        from repro.core.subset import VertexSubset
-        from repro.graph.graph import Graph
-        from repro.runtime.flashware import Flashware
-        from repro.runtime.tracing import Tracer
-
-        if isinstance(obj, FlashEngine):
-            return ("engine",)
-        if isinstance(obj, Flashware):
-            return ("flashware",)
-        if isinstance(obj, Graph):
-            return ("graph",)
+    def persistent_id(self, obj: Any):
+        # Called for every object pickled, so plain values leave first.
+        if type(obj) in _PLAIN_TYPES:
+            return None
+        for cls, token in self._tokens:
+            if isinstance(obj, cls):
+                return (token,)
         if isinstance(obj, VertexSubset):
-            return ("subset", tuple(obj.ids()))
-        if isinstance(obj, Tracer):
-            return ("tracer",)
+            # the ids as one array: a persistent id's elements are
+            # pickled one by one, so a tuple costs a callback per id
+            return ("subset", obj.as_array())
         if isinstance(obj, types.ModuleType):
             return ("module", obj.__name__)
         return None
@@ -224,7 +249,6 @@ class _ShippingUnpickler(pickle.Unpickler):
         self._session = session
 
     def persistent_load(self, pid):
-        from repro.core.subset import VertexSubset
         from repro.runtime.tracing import NULL_TRACER
 
         kind = pid[0]

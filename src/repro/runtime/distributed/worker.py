@@ -201,15 +201,27 @@ class WorkerSession:
 
     def commit(
         self,
-        entries: List[Tuple[int, Dict[str, Any]]],
+        batch: Dict[str, Tuple[List[int], Any]],
         staled_props: List[str],
     ) -> None:
-        """Apply one barrier's delta batch: ``entries`` carry the fresh
-        values this worker is entitled to; ``staled_props`` lists the
-        properties that changed somewhere without reaching this worker."""
+        """Apply one barrier's delta batch: ``batch`` maps each property
+        to the ``(ids, values)`` slice of fresh values this worker is
+        entitled to; ``staled_props`` lists the properties that changed
+        somewhere without reaching this worker."""
         state = self.state
-        for vid, props in entries:
-            for name, value in props.items():
+        for name, (ids, values) in batch.items():
+            column = state.column(name)
+            if (
+                isinstance(column, np.ndarray)
+                and isinstance(values, np.ndarray)
+                and values.dtype == column.dtype
+            ):
+                column[ids] = values
+                continue
+            # value by value: the column may demote, as on the driver
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
+            for vid, value in zip(ids, values):
                 state.set(vid, name, value)
         if self.sync_critical_only:
             for name in staled_props:
@@ -273,6 +285,12 @@ class WorkerSession:
         self.critical = set()
         self.staled = set()
 
+    def close(self) -> None:
+        """Drop the guarded view and the proxy: the guarded view points
+        back at the session, and the cycle would leave every closed
+        session to the cyclic garbage collector."""
+        self.guarded = self.proxy = None
+
 
 # ---------------------------------------------------------------------------
 # Kernel execution: core/interp.py over this worker's partition
@@ -332,15 +350,20 @@ _KERNELS = {
 }
 
 
-def _run_kernel(session: WorkerSession, op: str, payload: bytes) -> Dict[str, Any]:
-    """One kernel request: fresh op counts, the interpreter, and the
-    reply stamped with the counts and the CPU seconds (not wall: that
-    excludes time sliced out to other workers, so the driver can
-    reconstruct the parallel critical path even on core-starved hosts)."""
+def _run_kernel(
+    session: WorkerSession, op: str, payload: Tuple[bytes, Dict[str, Any]]
+) -> Dict[str, Any]:
+    """One kernel request — the shipped user functions plus the plain
+    request data: fresh op counts, the interpreter, and the reply
+    stamped with the counts and the CPU seconds (not wall: that excludes
+    time sliced out to other workers, so the driver can reconstruct the
+    parallel critical path even on core-starved hosts)."""
     cpu0 = time.process_time()
     proxy = session.proxy
     ops = proxy.flashware.ops = [0] * session.nworkers
-    result = _KERNELS[op](proxy, shipping.load_payload(payload, session))
+    fns, req = payload
+    req.update(shipping.load_payload(fns, session))
+    result = _KERNELS[op](proxy, req)
     result["ops"] = ops
     result["cpu_s"] = time.process_time() - cpu0
     return result
@@ -419,7 +442,8 @@ def worker_main(rank: int, conn) -> None:
                 )
                 result = None
             elif op == "close":
-                sessions.pop(sid, None)
+                if sid in sessions:
+                    sessions.pop(sid).close()
                 result = None
             elif op in _KERNELS:
                 result = _run_kernel(sessions[sid], op, payload)

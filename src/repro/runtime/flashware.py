@@ -85,6 +85,23 @@ def payload_size(value: Any) -> int:
     return 1
 
 
+#: The one Python type an array column of each dtype kind stores as is.
+_EXACT_TYPES = {"f": float, "i": int, "b": bool}
+
+
+def _typed_column(values: list, dtype: np.dtype) -> Any:
+    """``values`` as an array of ``dtype`` when every value is exactly
+    the Python type the column stores (``float``, ``int`` in the int64
+    range, ``bool``), else the list unchanged: unstaged entries, objects
+    and writes that demote the column stay on the value-by-value path."""
+    if set(map(type, values)) != {_EXACT_TYPES.get(dtype.kind)}:
+        return values
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:  # an int beyond int64
+        return values
+
+
 @dataclass(frozen=True)
 class FlashwareOptions:
     """Runtime-optimization switches (§IV-C).  Both default to on, as in
@@ -302,8 +319,10 @@ class Flashware:
             ``{prop: column}``, each column parallel to ``ids`` — a NumPy
             array of scalars, or a list of Python values that may hold
             :data:`UNSTAGED` where a vertex staged other properties only.
-            A value that does not fit its property's array demotes the
-            column (:meth:`VertexState.set`).
+            A list whose values are all exactly the Python type of its
+            property's array is committed as an array; otherwise a value
+            that does not fit the array demotes the column
+            (:meth:`VertexState.set`).
         reduce_pairs:
             For push mode, the distinct ``(target, contributing
             partition)`` pairs as two parallel arrays.  Each remote pair
@@ -337,6 +356,8 @@ class Flashware:
         payloads: Dict[str, Optional[np.ndarray]] = {}
         for name, new in updates.items():
             col = state.column(name)
+            if isinstance(col, np.ndarray) and isinstance(new, list):
+                new = updates[name] = _typed_column(new, col.dtype)
             if (
                 isinstance(col, np.ndarray)
                 and isinstance(new, np.ndarray)
