@@ -12,7 +12,7 @@ Usage::
     python -m repro lloc                       # Table I (measured vs paper)
     python -m repro lint --all                 # flashlint over every app
     python -m repro lint bfs cc --json         # ... selected apps, JSON out
-    python -m repro plan bfs --check           # compiled kernel plan, cross-validated
+    python -m repro plan bfs                   # compiled kernel plan
     python -m repro serve OR --clients 16      # graph-as-a-service load run
 
 The paper's tables and figures are regenerated and checked against their
@@ -320,37 +320,13 @@ def cmd_lint(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    from repro.analysis.compile import build_plan, cross_validate, render_plan
+    from repro.analysis.compile import build_plan, render_plan
 
-    workers = _engine_config(args).num_workers
-    plan = build_plan(args.app, num_workers=workers)
-    payload = plan.describe()
-    if args.check:
-        check = cross_validate(args.app, num_workers=workers)
-        payload["crosscheck"] = check.describe()
+    plan = build_plan(args.app, num_workers=_engine_config(args).num_workers)
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(plan.describe(), indent=2, sort_keys=True))
     else:
         print(render_plan(plan))
-        if args.check:
-            check_out = payload["crosscheck"]
-            verdict = "identical" if check_out["ok"] else "DIVERGED"
-            swapped = check_out["swapped"]
-            print()
-            print(f"crosscheck (synthesized vs hand specs): {verdict}; "
-                  f"{len(swapped)} kernel(s) swapped")
-            for kernel in swapped:
-                print(f"  {kernel}")
-            kept = check_out["kept"]
-            print(f"hand specs kept (synthesis refused): {len(kept)}")
-            for kernel, reason in sorted(kept.items()):
-                print(f"  {kernel}: {reason}")
-            if not check_out["ok"]:
-                for variant in check_out["variants"]:
-                    for mismatch in variant["mismatches"]:
-                        print(f"  {variant['variant']}: {mismatch}")
-    if args.check and not payload["crosscheck"]["ok"]:
-        return 1
     return 0
 
 
@@ -527,9 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("app", choices=APPS)
     _engine_flags(p, "--workers")
-    p.add_argument("--check", action="store_true",
-                   help="additionally cross-validate synthesized vs "
-                        "hand-written specs bit-identically")
     p.add_argument("--json", action="store_true",
                    help="machine-readable plan artifact")
 

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from typing import Union
 
-import numpy as np
-
 from repro.algorithms.common import INF, AlgorithmResult, make_engine
 from repro.core.engine import FlashEngine
 from repro.core.primitives import bind, ctrue
 from repro.graph.graph import Graph
-from repro.runtime.vectorized.specs import EdgeMapSpec, VertexMapSpec
+from repro.runtime.vectorized.specs import EdgeMapSpec
 
-# The hop-advance kernel: a write-once visit (C: ``dis == INF``) where
-# every frontier source offers ``dis + 1``.
+# The dense hop-advance kernel, which synthesis refuses (``dis + 1`` is
+# not provably != INF, and the pull scan must stop after the first
+# application): a write-once visit (C: ``dis == INF``) where every
+# frontier source offers ``dis + 1``.
 _STEP_SPEC = EdgeMapSpec(
     prop="dis",
     reduce="min",
@@ -59,14 +59,8 @@ def bfs(
     def reduce(t, d):
         return t
 
-    init_spec = VertexMapSpec(
-        map=lambda k: {"dis": np.where(k.ids == root, 0.0, INF)},
-        writes=("dis",),
-    )
-    root_spec = VertexMapSpec(filter=lambda k: k.ids == root)
-
-    U = eng.vertex_map(eng.V, ctrue, bind(init, root), label="bfs:init", spec=init_spec)
-    U = eng.vertex_map(eng.V, bind(filter_root, root), label="bfs:root", spec=root_spec)
+    U = eng.vertex_map(eng.V, ctrue, bind(init, root), label="bfs:init")
+    U = eng.vertex_map(eng.V, bind(filter_root, root), label="bfs:root")
     iterations = 0
     while eng.size(U) != 0:
         iterations += 1

@@ -22,18 +22,6 @@ from repro.core.primitives import ctrue
 from repro.core.subset import VertexSubset
 from repro.errors import ReproError
 from repro.graph.graph import Graph
-from repro.runtime.vectorized.specs import EdgeMapSpec, VertexMapSpec
-
-# Kernel specs for the vectorized backend (dispatch falls back to the
-# interpreted callables whenever they cannot apply).
-_INIT_SPEC = VertexMapSpec(map=lambda k: {"cc": k.ids}, writes=("cc",))
-_STEP_SPEC = EdgeMapSpec(
-    prop="cc",
-    reduce="min",
-    value=lambda k: k.sp("cc"),
-    f="improve",
-    reads=("cc",),
-)
 
 
 def cc_basic(
@@ -56,15 +44,13 @@ def cc_basic(
         d.cc = min(d.cc, s.cc)
         return d
 
-    U = eng.vertex_map(eng.V, ctrue, init, label="cc:init", spec=_INIT_SPEC)
+    U = eng.vertex_map(eng.V, ctrue, init, label="cc:init")
     iterations = 0
     while eng.size(U) != 0:
         iterations += 1
         if iterations > max_iterations:
             raise ReproError("cc_basic failed to converge")
-        U = eng.edge_map(
-            U, eng.E, check, update, ctrue, update, label="cc:step", spec=_STEP_SPEC
-        )
+        U = eng.edge_map(U, eng.E, check, update, ctrue, update, label="cc:step")
     return AlgorithmResult("cc_basic", eng, eng.values("cc"), iterations)
 
 

@@ -21,21 +21,10 @@ from repro.errors import ReproError
 from repro.graph.graph import Graph
 from repro.runtime.vectorized.specs import EdgeMapSpec, VertexMapSpec
 
-_INIT_SPEC = VertexMapSpec(map=lambda k: {"d": k.deg}, writes=("d",))
-# Peeling decrement: each peeled neighbor subtracts one from the
-# induced degree (the reduce ignores temp values, so plain sum of -1).
+# Peeling decrement, which synthesis refuses: each peeled neighbor
+# subtracts one from the induced degree (the reduce ignores temp values,
+# so plain sum of -1).
 _DEC_SPEC = EdgeMapSpec(prop="d", reduce="sum", value=-1, reads=("d",))
-
-_OPT_INIT_SPEC = VertexMapSpec(map=lambda k: {"core": k.deg}, writes=("core",))
-# Support count: one per neighbor whose estimate is at least ours.
-_COUNT_SPEC = EdgeMapSpec(
-    prop="cnt",
-    reduce="sum",
-    value=1,
-    f=lambda k: k.sp("core") >= k.dp("core"),
-    reads=("core", "cnt"),
-)
-_VIOLATING_SPEC = VertexMapSpec(filter=lambda k: k.p("cnt") < k.p("core"))
 
 
 def kcore_basic(
@@ -68,7 +57,7 @@ def kcore_basic(
         d.d = d.d - 1
         return d
 
-    remaining = eng.vertex_map(eng.V, ctrue, init, label="kc:init", spec=_INIT_SPEC)
+    remaining = eng.vertex_map(eng.V, ctrue, init, label="kc:init")
     iterations = 0
     k = 0
     while eng.size(remaining) != 0:
@@ -77,17 +66,11 @@ def kcore_basic(
         # only vertices whose induced degree just dropped can newly fall
         # below k (Ligra's actual frontier optimization).
         candidates = remaining
-        peel_spec = VertexMapSpec(
-            filter=lambda b, k=k: b.p("d") < k,
-            map=lambda b, k=k: {"core": k - 1},
-            reads=("d", "core"),
-            writes=("core",),
-        )
         while True:
             iterations += 1
             peeled = eng.vertex_map(
                 candidates, bind(filter_low, k), bind(assign, k),
-                label="kc:peel", spec=peel_spec,
+                label="kc:peel",
             )
             if eng.size(peeled) == 0:
                 break
@@ -157,6 +140,7 @@ def kcore_opt(
         v.core = core
         return v
 
+    # synthesis refuses the reset (``v.c = {}`` is a dict display)
     reset_spec = VertexMapSpec(
         map=lambda b: {"cnt": 0, "c": [{} for _ in range(len(b))]},
         reads=("cnt",),
@@ -164,23 +148,18 @@ def kcore_opt(
         writes=("cnt", "c"),
     )
 
-    frontier = eng.vertex_map(eng.V, ctrue, init, label="kc_opt:init", spec=_OPT_INIT_SPEC)
+    frontier = eng.vertex_map(eng.V, ctrue, init, label="kc_opt:init")
     iterations = 0
     while eng.size(frontier) != 0:
         iterations += 1
         if iterations > max_iterations:
             raise ReproError("kcore_opt failed to converge")
         frontier = eng.vertex_map(eng.V, ctrue, local1, label="kc_opt:reset", spec=reset_spec)
-        eng.edge_map(
-            frontier, eng.E, f1, update1, ctrue, r1,
-            label="kc_opt:count", spec=_COUNT_SPEC,
-        )
+        eng.edge_map(frontier, eng.E, f1, update1, ctrue, r1, label="kc_opt:count")
         # The paper filters the EDGEMAP output, but a vertex with *no*
         # qualifying neighbor (cnt = 0 < core) never appears there; test
         # every vertex so such maximally-violating vertices are caught.
-        frontier = eng.vertex_map(
-            eng.V, filter_violating, label="kc_opt:violating", spec=_VIOLATING_SPEC
-        )
+        frontier = eng.vertex_map(eng.V, filter_violating, label="kc_opt:violating")
         eng.edge_map_dense(eng.V, join(eng.E, frontier), ctrue, update2, ctrue, label="kc_opt:hist")
         frontier = eng.vertex_map(frontier, ctrue, local2, label="kc_opt:lower")
     return AlgorithmResult("kcore_opt", eng, eng.values("core"), iterations)

@@ -33,12 +33,6 @@ _GOSSIP_SPEC = EdgeMapSpec(
     value=lambda k: k.sp("c"),
     reads=("c",),
 )
-_COMMIT_SPEC = VertexMapSpec(
-    filter=lambda k: k.p("c") != k.p("cc"),
-    map=lambda k: {"c": k.p("cc")},
-    reads=("c", "cc"),
-    writes=("c",),
-)
 
 
 def _tally(batch) -> Dict[str, object]:
@@ -137,7 +131,7 @@ def lpa(
             label="lpa:gossip", spec=_GOSSIP_SPEC,
         )
         moved = eng.vertex_map(moved, ctrue, local1, label="lpa:tally", spec=_TALLY_SPEC)
-        moved = eng.vertex_map(eng.V, changed, local2, label="lpa:commit", spec=_COMMIT_SPEC)
+        moved = eng.vertex_map(eng.V, changed, local2, label="lpa:commit")
         if eng.size(moved) == 0:
             break
     return AlgorithmResult(

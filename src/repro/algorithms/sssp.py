@@ -9,18 +9,16 @@ from __future__ import annotations
 
 from typing import Union
 
-import numpy as np
-
 from repro.algorithms.common import INF, AlgorithmResult, make_engine
 from repro.core.engine import FlashEngine
 from repro.core.primitives import bind, ctrue
 from repro.errors import ReproError
 from repro.graph.graph import Graph
-from repro.runtime.vectorized.specs import EdgeMapSpec, VertexMapSpec
+from repro.runtime.vectorized.specs import EdgeMapSpec
 
-# Bellman-Ford relaxation: every frontier source offers
-# ``dis + weight``; targets keep the minimum, and only strict
-# improvements re-enter the frontier.
+# Bellman-Ford relaxation, which synthesis refuses (the ``graph.weight``
+# call): every frontier source offers ``dis + weight``; targets keep the
+# minimum, and only strict improvements re-enter the frontier.
 _RELAX_SPEC = EdgeMapSpec(
     prop="dis",
     reduce="min",
@@ -62,16 +60,8 @@ def sssp(
         d.dis = min(d.dis, t.dis)
         return d
 
-    init_spec = VertexMapSpec(
-        map=lambda k: {"dis": np.where(k.ids == root, 0.0, INF)},
-        writes=("dis",),
-    )
-    root_spec = VertexMapSpec(filter=lambda k: k.ids == root)
-
-    eng.vertex_map(eng.V, ctrue, bind(init, root), label="sssp:init", spec=init_spec)
-    frontier = eng.vertex_map(
-        eng.V, bind(filter_root, root), label="sssp:root", spec=root_spec
-    )
+    eng.vertex_map(eng.V, ctrue, bind(init, root), label="sssp:init")
+    frontier = eng.vertex_map(eng.V, bind(filter_root, root), label="sssp:root")
     iterations = 0
     while eng.size(frontier) != 0:
         iterations += 1

@@ -7,7 +7,8 @@ its access sets from too):
 
 * :mod:`~repro.analysis.compile.synthesize` — compile analyzable
   F/M/C/R user functions into vectorized kernel specs, with sound
-  per-kernel fallback to the interpreter;
+  per-kernel fallback: to the algorithm's hand-written ``spec=`` where
+  one exists, else to the interpreter;
 * :mod:`~repro.analysis.compile.commplan` — fold per-kernel read/write
   sets into per-property sync scopes the mp executor uses to withhold
   mirror deltas no kernel can read;
@@ -15,13 +16,12 @@ its access sets from too):
   per-kernel classification, dispatch decision, and predicted sync
   columns/bytes for one application.
 
-:mod:`~repro.analysis.compile.crosscheck` cross-validates synthesized
-against hand-written specs bit-identically (the compiler's counterpart of the static/trace
-cross-check).
+Synthesis comes first on every columnar engine: a hand-written spec is
+only the fallback where the synthesizer refuses a kernel, and the plan
+reports that refusal as the kernel's reason.
 """
 
 from repro.analysis.compile.commplan import CommunicationPlan
-from repro.analysis.compile.crosscheck import cross_validate
 from repro.analysis.compile.exprs import Unsupported
 from repro.analysis.compile.plan import build_plan, render_plan
 from repro.analysis.compile.synthesize import (
@@ -36,7 +36,6 @@ __all__ = [
     "Unsupported",
     "build_plan",
     "render_plan",
-    "cross_validate",
     "explain_edge",
     "explain_vertex",
     "synthesize_edge_spec",

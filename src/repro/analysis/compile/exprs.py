@@ -241,6 +241,27 @@ def is_boolean(expr: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # IR -> NumPy closures
 # ---------------------------------------------------------------------------
+_OPS = {
+    "+": np.add, "-": np.subtract, "*": np.multiply,
+    "/": np.true_divide, "//": np.floor_divide, "%": np.mod,
+    "==": np.equal, "!=": np.not_equal, "<": np.less,
+    "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+}
+
+
+def _binary(op: Callable, left: Expr, right: Expr, leaf) -> Callable:
+    """``op(left, right)``, with a constant operand inlined rather than
+    called through a closure of its own."""
+    if isinstance(right, Const):
+        lf, v = _compile(left, leaf), right.value
+        return lambda k: op(lf(k), v)
+    if isinstance(left, Const):
+        v, rf = left.value, _compile(right, leaf)
+        return lambda k: op(v, rf(k))
+    lf, rf = _compile(left, leaf), _compile(right, leaf)
+    return lambda k: op(lf(k), rf(k))
+
+
 def _compile(expr: Expr, leaf: Callable[[Expr], Callable]) -> Callable:
     """Compile ``expr`` into ``batch -> array-or-scalar``; ``leaf``
     handles the batch-specific nodes (Prop / Special)."""
@@ -259,20 +280,8 @@ def _compile(expr: Expr, leaf: Callable[[Expr], Callable]) -> Callable:
     if isinstance(expr, Abs):
         sub = _compile(expr.operand, leaf)
         return lambda k: np.abs(sub(k))
-    if isinstance(expr, Binary):
-        lf, rf = _compile(expr.left, leaf), _compile(expr.right, leaf)
-        op = {
-            "+": np.add, "-": np.subtract, "*": np.multiply,
-            "/": np.true_divide, "//": np.floor_divide, "%": np.mod,
-        }[expr.op]
-        return lambda k: op(lf(k), rf(k))
-    if isinstance(expr, Compare):
-        lf, rf = _compile(expr.left, leaf), _compile(expr.right, leaf)
-        op = {
-            "==": np.equal, "!=": np.not_equal, "<": np.less,
-            "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
-        }[expr.op]
-        return lambda k: op(lf(k), rf(k))
+    if isinstance(expr, (Binary, Compare)):
+        return _binary(_OPS[expr.op], expr.left, expr.right, leaf)
     if isinstance(expr, BoolOp):
         subs = [_compile(op, leaf) for op in expr.operands]
         combine = np.logical_and if expr.op == "and" else np.logical_or
@@ -344,10 +353,24 @@ def _broadcast(value: Any, n: int) -> np.ndarray:
     return arr
 
 
+def _reads_batch(expr: Expr) -> bool:
+    """Whether ``expr`` reads a batch leaf — then every elementwise node
+    above it already yields a batch-length array."""
+    return isinstance(expr, (Prop, Special)) or any(map(_reads_batch, children(expr)))
+
+
+def _batch_fn(expr: Expr, leaf: Callable[[Expr], Callable]) -> Callable:
+    """``batch -> ndarray``; only a leaf-free (constant) expression
+    needs its scalar broadcast to the batch length."""
+    fn = _compile(expr, leaf)
+    if _reads_batch(expr):
+        return fn
+    return lambda k: _broadcast(fn(k), len(k))
+
+
 def compile_vertex(expr: Expr) -> Callable:
     """``VertexBatch -> ndarray`` (scalars broadcast to batch length)."""
-    fn = _compile(expr, _vertex_leaf)
-    return lambda k: _broadcast(fn(k), len(k))
+    return _batch_fn(expr, _vertex_leaf)
 
 
 def compile_vertex_column(expr: Expr) -> Callable:
@@ -362,5 +385,4 @@ def compile_vertex_column(expr: Expr) -> Callable:
 
 def compile_edge(expr: Expr) -> Callable:
     """``EdgeBatch -> ndarray`` (scalars broadcast to batch length)."""
-    fn = _compile(expr, _edge_leaf)
-    return lambda k: _broadcast(fn(k), len(k))
+    return _batch_fn(expr, _edge_leaf)

@@ -5,10 +5,12 @@ deterministic graph with the vectorized backend, capturing three
 things:
 
 * per-kernel Table II classification (the staticpass program capture);
-* per-kernel dispatch decision — vectorized via a hand-written spec,
-  vectorized via a synthesized spec, or interpreted with the reason
-  (the synthesizer's refusal, ``edge set is not E (<type>)`` for a
-  constructed edge set, or a spec the columnar kernels declined);
+* per-kernel dispatch decision — vectorized via a synthesized spec,
+  vectorized via a hand-written spec (only where synthesis refuses the
+  kernel), or interpreted — with the reason for every kernel that has
+  no synthesized spec (the synthesizer's refusal, ``edge set is not E
+  (<type>)`` for a constructed edge set, or a spec the columnar kernels
+  declined);
 * the accumulated :class:`~repro.analysis.compile.commplan.CommunicationPlan`
   with a static prediction of the mirror-sync entries a full-column
   update costs under the planned scopes vs. plain broadcast.
@@ -199,7 +201,10 @@ def build_plan(app: str, num_workers: int = 4, graph=None) -> AppPlan:
             "critical": sorted(report.classification.critical),
             "origin": origin,
             "dispatch": dispatch,
-            "reason": decision.get("reason") if dispatch == "interp" else None,
+            # why synthesis gave no spec: the interpreted kernels' and
+            # the hand specs' reason
+            "reason": (decision.get("reason")
+                       if dispatch != "vectorized(synthesized)" else None),
         })
     kernels.sort(key=lambda k: k["kernel"])
 

@@ -27,12 +27,14 @@ read written properties differently:
   patterns — anything else would observe mid-scan state the one-shot
   mask cannot reproduce, so it is refused.
 
-The write-once C (``target.prop == sentinel``) is only accepted when
-the post-write value provably differs from the sentinel (a constant
-write of a different value, or a vertex id against a negative
-sentinel); otherwise the condition survives as a general mask where
-that is sound (sparse) and the kernel is refused where it is not
-(dense).
+A write-once C (``target.prop == sentinel``) always compiles to
+``cond_unvisited`` in sparse mode: push evaluates C against the
+committed snapshot, so the sentinel mask is the same test on the same
+column.  In dense mode it is only accepted when the post-write value
+provably differs from the sentinel (a constant write of a different
+value, or a vertex id against a negative sentinel) — the scan must stop
+right after the first application — and the kernel is refused
+otherwise.
 """
 
 from __future__ import annotations
@@ -265,11 +267,10 @@ def _self_combine(expr: Expr, prop: str) -> Optional[Tuple[str, Expr]]:
     return None
 
 
-def _provably_not(value_expr: Optional[Expr], sentinel: Any) -> bool:
+def _provably_not(value_expr: Expr, sentinel: Any) -> bool:
     """Whether the value a qualifying edge writes provably differs from
-    ``sentinel`` — the soundness condition for ``cond_unvisited``
-    (committed non-sentinel values mean 'already visited', and in dense
-    mode the scan must stop right after the first application)."""
+    ``sentinel`` — the soundness condition for a dense ``cond_unvisited``
+    (the scan must stop right after the first application)."""
     if isinstance(value_expr, Const):
         return value_expr.value != sentinel
     if isinstance(value_expr, Special) and value_expr.attr == "id":
@@ -384,11 +385,6 @@ def _synth_edge(mode: str, slots) -> EdgeMapSpec:
     if C is not None:
         expr = _predicate(C)
         sentinel = _match_sentinel(expr, prop)
-        provable_value = (
-            value_expr
-            if (mode == "sparse" and reduce_ == "last") or mode == "dense"
-            else None
-        )
         if sentinel is not None and mode == "dense":
             # dense write-once: the scan must provably stop after the
             # first application
@@ -396,7 +392,9 @@ def _synth_edge(mode: str, slots) -> EdgeMapSpec:
                 cond_unvisited = sentinel
             else:
                 raise Unsupported("dense C reads the written property")
-        elif sentinel is not None and _provably_not(provable_value, sentinel):
+        elif sentinel is not None:
+            # sparse: C reads the committed snapshot, which is exactly
+            # the column the sentinel mask compares
             cond_unvisited = sentinel
         else:
             if mode == "dense" and ("target", prop) in reads(expr):

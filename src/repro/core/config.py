@@ -38,9 +38,7 @@ class EngineConfig:
 
     ``dense_threshold=None`` is Ligra's ``|arcs| / 20``, ``tracer=None``
     the no-op tracer, and ``oocore_*=None`` the out-of-core defaults of
-    :mod:`repro.graph.blocks`.  ``force_synthesis`` makes columnar
-    engines replace hand-written specs with synthesized ones (``repro
-    plan --check``)."""
+    :mod:`repro.graph.blocks`."""
 
     num_workers: int = 4
     options: Optional[FlashwareOptions] = None
@@ -52,7 +50,6 @@ class EngineConfig:
     oocore_budget: Optional[int] = None
     oocore_interval: Optional[int] = None
     oocore_dir: Optional[str] = None
-    force_synthesis: bool = False
 
     def __post_init__(self) -> None:
         for kind, name, allowed in (("backend", self.backend, BACKENDS),

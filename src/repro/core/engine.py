@@ -279,10 +279,10 @@ class FlashEngine:
     # Static kernel compiler
     # ------------------------------------------------------------------
     def _compile_spec(self, kind, spec, edges, F, M, C, R):
-        """On a columnar backend, fill a missing spec (or, under
-        ``force_synthesis``, replace the hand one) with a synthesized
-        spec.  Returns ``(spec, origin, reason)`` where origin is
-        ``"hand"``, ``"synthesized"`` or ``None`` (interp) and reason
+        """On a columnar backend, synthesize the kernel's spec; a hand
+        ``spec`` is used only where synthesis refuses the kernel.
+        Returns ``(spec, origin, reason)`` where origin is
+        ``"synthesized"``, ``"hand"`` or ``None`` (interp) and reason
         says why synthesis gave no spec.  Edge synthesis only applies to
         the plain edge set ``E`` — constructed edge sets never dispatch
         columnar anyway."""
@@ -291,8 +291,6 @@ class FlashEngine:
             return spec, hand, None
         if edges is not None and type(edges) is not BaseEdges:
             return spec, hand, f"edge set is not E ({type(edges).__name__})"
-        if spec is not None and not self.config.force_synthesis:
-            return spec, hand, None
         from repro.analysis.compile import synthesize
 
         if edges is None:
@@ -432,9 +430,9 @@ class FlashEngine:
         the subset of vertices that passed ``F``.
 
         ``spec`` optionally declares the superstep's computation for the
-        columnar backends; it is ignored on the interpreted backend and
-        whenever it cannot be applied (fallback rules in
-        ``docs/performance.md``)."""
+        columnar backends, used only where synthesis refuses the kernel;
+        it is ignored on the interpreted backend and whenever it cannot
+        be applied (fallback rules in ``docs/performance.md``)."""
         return self._superstep(
             None, "VERTEXMAP", subset, None, {"F": F, "M": M}, label, spec,
             columnar=lambda col, spec: col.vertex_map(self, subset, F, M, spec),
@@ -461,7 +459,7 @@ class FlashEngine:
 
         The mode decision depends only on topology and frontier size, so
         it is identical on every backend; ``spec`` rides along to the
-        chosen kernel."""
+        chosen kernel, used only where synthesis refuses it."""
         self._issuer = "EDGEMAP"
         if R is None:
             self.metrics.note_mode("dense")
@@ -494,7 +492,8 @@ class FlashEngine:
     ) -> VertexSubset:
         """The pull kernel (Algorithm 5): every candidate target scans its
         in-neighbors in the active set and applies ``M`` sequentially to
-        its own working copy, stopping early when ``C`` fails."""
+        its own working copy, stopping early when ``C`` fails.  ``spec``
+        is used only where synthesis refuses the kernel."""
         if M is None:
             raise FlashUsageError("edge_map_dense requires a map function M")
         issuer, self._issuer = self._issuer, None
@@ -519,7 +518,8 @@ class FlashEngine:
     ) -> VertexSubset:
         """The push kernel (Algorithm 6): active sources produce temporary
         target values, which are folded into the target's next state with
-        the (associative, commutative) reduce function ``R``."""
+        the (associative, commutative) reduce function ``R``.  ``spec``
+        is used only where synthesis refuses the kernel."""
         if M is None:
             raise FlashUsageError("edge_map_sparse requires a map function M")
         if R is None:

@@ -25,8 +25,9 @@ contributes a value to the target's ``prop``, combined by ``reduce``"*:
   ``prop`` under the reduce order — CC/SSSP relaxation), or a callable
   returning a boolean mask;
 * ``cond_unvisited`` — when set, the C condition is
-  ``target.prop == sentinel`` (BFS-style write-once visit); the committed
-  value must differ from the sentinel;
+  ``target.prop == sentinel`` (BFS-style write-once visit) on the
+  committed column; in dense (pull) mode the written value must differ
+  from the sentinel, since the scan stops after the first application;
 * ``cond`` — a general C condition: a callable receiving a vertex-batch
   view of the candidate *targets* and returning a boolean mask.  Mutually
   exclusive with ``cond_unvisited``.  In dense (pull) mode the condition

@@ -228,7 +228,8 @@ def test_the_frozen_benchmark_keywords_still_construct(graph, monkeypatch):
 
 @pytest.mark.parametrize("fields", [
     dict(analysis="trace"), dict(auto_analyze=False), dict(remote_promotion=False),
-], ids=["analysis", "auto_analyze", "remote_promotion"])
+    dict(force_synthesis=True),
+], ids=["analysis", "auto_analyze", "remote_promotion", "force_synthesis"])
 def test_a_removed_setting_names_itself(graph, fields):
     (name,) = fields
     with pytest.raises(FlashUsageError, match=f"removed engine setting '{name}'"):

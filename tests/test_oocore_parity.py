@@ -22,6 +22,7 @@ from parity import SPECCED_APPS, SuiteParity, strip_io
 from repro import random_graph
 from repro.__main__ import main
 from repro.algorithms import bfs, kcore_opt, pagerank, sssp
+from repro.analysis.compile.plan import capture_plan
 from repro.core.config import EngineConfig, current_config, use_config
 from repro.core.engine import FlashEngine
 from repro.core.primitives import ctrue
@@ -54,11 +55,17 @@ class TestSuiteParity(SuiteParity):
 
     @pytest.mark.parametrize("app", sorted(SPECCED_APPS - {"kc"}) + ["mis", "bc"])
     def test_compile_analysis_parity(self, app, graph):
-        """Synthesized specs — forced, so they replace the hand specs
-        wherever synthesis succeeds — must stream through the block
-        kernels with the same values and charged metrics too."""
-        with use_config(force_synthesis=True):
-            vec, ooc = _suite_pair(app, graph)
+        """One spec set serves both columnar backends: the block kernels
+        dispatch exactly the kernels the resident ones do, from the same
+        spec origin (synthesized, or hand where synthesis refuses), with
+        the same values and charged metrics."""
+        with capture_plan() as vec_cap:
+            vec = run_app("flash", app, graph, num_workers=3, backend="vectorized")
+        with use_config(oocore_interval=8), capture_plan() as ooc_cap:
+            ooc = run_app("flash", app, graph, num_workers=3, backend="oocore")
+        dispatch = lambda cap: {k: (e["origin"], e["dispatched"])
+                                for k, e in cap.merged_kernels().items()}
+        assert dispatch(ooc_cap) == dispatch(vec_cap), app
         assert ooc.values == vec.values, app
         vec_summary, _ = strip_io(vec.metrics.summary())
         ooc_summary, _ = strip_io(ooc.metrics.summary())
@@ -203,7 +210,8 @@ class TestKernelFailure:
     def test_failed_block_is_in_the_trace(self, graph):
         """A spec value that raises on the second streamed block must
         leave that block's ``oocore.block`` span in the trace (flagged
-        ``error``), abort the superstep, and not leak any mmap."""
+        ``error``), abort the superstep, and not leak any mmap.  The
+        ``float`` call keeps synthesis from replacing the hand spec."""
         calls = []
 
         def value(k):
@@ -213,7 +221,7 @@ class TestKernelFailure:
             return k.sp("rank")
 
         def scatter(s, d):
-            d.acc = d.acc + s.rank
+            d.acc = d.acc + float(s.rank)
             return d
 
         spec = EdgeMapSpec(prop="acc", reduce="sum", value=value,

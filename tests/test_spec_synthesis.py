@@ -1,21 +1,34 @@
 """Spec synthesis (the kernel compiler every engine runs): fuzzed interp parity, synthesizer
-unit behavior, communication planning and the plan artifact."""
+unit behavior, synthesis-first dispatch, communication planning and the plan artifact."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms import pagerank, sssp
 from repro.analysis.compile import (
     build_plan,
-    cross_validate,
     explain_edge,
     explain_vertex,
     render_plan,
     synthesize_edge_spec,
     synthesize_vertex_spec,
 )
+from repro.analysis.compile import synthesize
 from repro.analysis.compile.commplan import CommunicationPlan
+from repro.analysis.compile.exprs import Compare, Const, Prop, compile_vertex
+from repro.analysis.compile.plan import capture_plan
+from repro.core.config import use_config
+from repro.core.engine import FlashEngine
+from repro.core.primitives import bind, ctrue
 from repro.graph.generators import random_graph
-from repro.suite import prepare_graph, run_app
+from repro.runtime.vectorized.specs import NOT_SET, EdgeMapSpec
+from repro.suite import APPS, prepare_graph, run_app
+
+INF = float("inf")
 
 #: Apps the compiler newly moves onto the vectorized backend (no
 #: hand-written specs for the synthesized kernels before this PR).
@@ -72,8 +85,8 @@ class TestFuzzedParity:
 
     @pytest.mark.parametrize("app", ["bfs", "cc", "kc", "lpa"])
     def test_hand_spec_apps_unchanged_under_compile(self, app):
-        # Apps with hand specs keep them (hand wins over synthesis) and
-        # stay bit-identical.
+        # Apps that keep hand specs for the kernels synthesis refuses
+        # mix both origins and stay bit-identical.
         graph = random_graph(26, 70, seed=7)
         interp, compiled = _run_pair(app, graph, num_workers=4)
         assert interp.values == compiled.values
@@ -153,9 +166,9 @@ class TestSynthesizeEdge:
         assert spec is not None
         assert spec.prop == "dis"
         assert spec.reduce == "last"
-        # ``s.dis + 1`` is not provably != -1, so the synthesizer may
-        # keep C as a general mask rather than the sentinel fast path.
-        assert spec.cond is not None or spec.cond_unvisited == -1
+        # push reads C against the committed snapshot, so the sentinel
+        # mask applies although ``s.dis + 1`` may equal -1
+        assert spec.cond is None and spec.cond_unvisited == -1
 
     def test_bfs_shape_dense_refused_without_sentinel_proof(self):
         # Dense scans observe mid-scan state: C reads the written prop,
@@ -286,7 +299,7 @@ class TestCommunicationPlan:
 
 
 # ---------------------------------------------------------------------------
-# The plan artifact + crosscheck
+# The plan artifact
 # ---------------------------------------------------------------------------
 class TestPlanArtifact:
     def test_build_plan_mis(self):
@@ -318,20 +331,149 @@ class TestPlanArtifact:
             build_plan("nosuch")
 
 
-class TestCrossValidate:
-    def test_bfs_swaps_hand_specs_and_stays_identical(self):
-        result = cross_validate("bfs")
-        assert result.ok, result.describe()
-        assert result.swapped, "forcing synthesis should swap hand specs"
-        # the hand spec forced synthesis keeps says why synthesis refused
-        assert result.kept == {
-            "edge_map_dense:bfs:step": "dense C reads the written property"
-        }
+# ---------------------------------------------------------------------------
+# Synthesis first: a hand spec only where synthesis refuses
+# ---------------------------------------------------------------------------
+def _cc_init(v):
+    v.cc = v.id
+    return v
 
-    @pytest.mark.parametrize("app", ["mis", "gc"])
-    def test_newly_covered_identical(self, app):
-        result = cross_validate(app)
-        assert result.ok, result.describe()
+
+def _cc_check(s, d):
+    return s.cc < d.cc
+
+
+def _cc_update(s, d):
+    d.cc = min(d.cc, s.cc)
+    return d
+
+
+def _never(k):
+    raise AssertionError("a hand spec dispatched where synthesis succeeds")
+
+
+#: Every hand spec the suite (plus pagerank and sssp) keeps, with the
+#: synthesizer's refusal — any hand spec synthesis could write fails here.
+REFUSED = {
+    "edge_map_dense:bfs:step": "dense C reads the written property",
+    "edge_map_dense:bcc:bfs": "dense C reads the written property",
+    "edge_map_dense:kc:dec":
+        "dense M reads its written property outside a running-combine form",
+    "edge_map_sparse:kc:dec": "unrecognized reduce fold",
+    "vertex_map:kc_opt:reset": "expression Dict",
+    "vertex_map:lpa:init": "expression List",
+    "edge_map_dense:lpa:gossip": "statement Expr",
+    "vertex_map:lpa:tally": "assignment to a non-property target",
+    "edge_map_dense:pr:scatter": "assignment to a non-property target",
+    "vertex_map:pr:apply": "unresolvable name 'extra'",
+    "edge_map_dense:sssp:relax": "call",
+    "edge_map_sparse:sssp:relax": "call",
+}
+
+
+class TestSynthesisFirst:
+    def test_hand_spec_yields_to_synthesis(self):
+        """A hand spec whose value raises never runs on a kernel
+        synthesis handles: the run completes and matches interp."""
+        spec = EdgeMapSpec(prop="cc", reduce="min", value=_never, f="improve",
+                           reads=("cc",))
+        graph = random_graph(26, 70, seed=3)
+
+        def run(backend):
+            with FlashEngine(graph, num_workers=3, backend=backend) as eng:
+                eng.add_property("cc", 0)
+                U = eng.vertex_map(eng.V, ctrue, _cc_init, label="t:init")
+                while U.size():
+                    U = eng.edge_map(U, eng.E, _cc_check, _cc_update, ctrue, _cc_update,
+                                     label="t:step", spec=spec)
+                return eng.values("cc"), eng.metrics.summary(), dict(eng.kernel_plan)
+
+        values, summary, plan = run("vectorized")
+        assert (values, summary) == run("interp")[:2]
+        steps = {k: e for k, e in plan.items() if k.endswith("t:step")}
+        assert steps and all(
+            e["origin"] == "synthesized" and e["dispatched"] for e in steps.values()
+        ), steps
+
+    def test_hand_specs_are_exactly_the_refused_kernels(self):
+        hand, printed = {}, []
+        for app in APPS:
+            plan = build_plan(app)
+            printed.append(render_plan(plan))
+            hand.update((k["kernel"], k["reason"]) for k in plan.kernels
+                        if k["dispatch"] == "vectorized(hand)")
+        graph = random_graph(40, 120, seed=11)
+        for program, g in ((pagerank, graph), (sssp, graph.with_random_weights(seed=7))):
+            with use_config(backend="vectorized"), capture_plan() as cap:
+                program(g, num_workers=3)
+            hand.update((k, e["reason"]) for k, e in cap.merged_kernels().items()
+                        if e["origin"] == "hand" and e["dispatched"])
+        assert hand == REFUSED
+        text = "\n".join(printed)
+        for kernel, reason in REFUSED.items():
+            if kernel.split(":")[1] not in ("pr", "sssp"):
+                assert f"dispatch=vectorized(hand) reason={reason}" in text, kernel
+
+
+# ---------------------------------------------------------------------------
+# The sparse sentinel mask
+# ---------------------------------------------------------------------------
+def _set_dis(v, dis):
+    v.dis = dis[v.id]
+    return v
+
+
+def _bfs_update(s, d):
+    d.dis = s.dis + 1
+    return d
+
+
+def _bfs_cond(v):
+    return v.dis == INF
+
+
+def _bfs_reduce(t, d):
+    return t
+
+
+def _sparse_step(graph, dis, frontier, spec=None, backend="vectorized"):
+    """One sparse BFS step from ``frontier`` over the column ``dis``, run
+    by the engine: interpreted or synthesized (``spec=None``), or by the
+    hand ``spec`` where synthesis is made to refuse the kernel."""
+    with FlashEngine(graph, num_workers=3, backend=backend) as eng, \
+            pytest.MonkeyPatch.context() as mp:
+        eng.add_property("dis", INF)
+        eng.vertex_map(eng.V, ctrue, bind(_set_dis, dis), label="t:set")
+        if spec is not None:
+            mp.setattr(synthesize, "explain_edge", lambda *a: (None, "refused"))
+        out = eng.edge_map_sparse(eng.subset(sorted(frontier)), eng.E, ctrue, _bfs_update,
+                                  _bfs_cond, _bfs_reduce, label="t:step", spec=spec)
+        rec = eng.metrics.records[-1]
+        if backend == "vectorized":
+            assert eng.metrics.backend_choices.get("vectorized") == 1  # the step
+        return (eng.values("dis"), sorted(out), list(rec.worker_ops),
+                rec.reduce_messages, rec.reduce_values, rec.sync_messages,
+                rec.sync_values, rec.frontier_out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 1000),
+       dis=st.lists(st.sampled_from([0.0, 1.0, 2.0, INF]), min_size=24, max_size=24),
+       frontier=st.sets(st.integers(0, 23), min_size=1))
+@example(seed=1, dis=[INF] * 12 + [0.0] * 12, frontier={0, 1, 2, 12})  # INF + 1 == INF
+def test_sparse_sentinel_mask_equals_the_general_cond(seed, dis, frontier):
+    """The synthesized sparse write-once spec (``cond_unvisited``) gives
+    the values, frontier and charged ops of the general-``cond`` form —
+    also when a written value equals the sentinel (``INF + 1``)."""
+    graph = random_graph(24, 70, seed=seed)
+    spec = synthesize_edge_spec("edge_map_sparse", ctrue, _bfs_update, _bfs_cond, _bfs_reduce)
+    assert spec.cond is None and spec.cond_unvisited == INF
+    general = replace(spec, cond_unvisited=NOT_SET, cond=compile_vertex(
+        Compare("==", Prop("target", "dis"), Const(INF))))
+    sentinel = _sparse_step(graph, dis, frontier, spec)
+    assert sentinel == _sparse_step(graph, dis, frontier, general)
+    assert sentinel == _sparse_step(graph, dis, frontier)
+    assert sentinel == _sparse_step(graph, dis, frontier, backend="interp")
 
 
 # ---------------------------------------------------------------------------
